@@ -19,25 +19,21 @@ from .geometry import (
 )
 from .planner import (
     BindingConstraint,
-    LaneCandidate,
+    LaneOutcome,
     PlanRequest,
     PlanResult,
     PlanningError,
     feasible_tf,
-    fifo_plan,
     lateral_ok,
     lateral_separation,
     min_feasible_tf,
     plan,
-    plan_with_diagnostics,
     rear_end_margin,
     rear_end_ok,
 )
 from .protocol import (
     CrossingProtocol,
     DuplicateVehicleError,
-    LaneFunction,
-    LanePiece,
     Occupancy,
     ProtocolEntry,
 )
@@ -63,6 +59,7 @@ from .simulation import (
     integrate_dynamics,
     monitor,
     run,
+    schedule,
     snapshot,
 )
 from .trajectory import (

@@ -16,16 +16,14 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .planner import PlanningError, plan_with_diagnostics, fifo_plan, PlanRequest
-from .protocol import CrossingProtocol, ProtocolEntry
 from .scenario import ScenarioError, load_scenario
 from .simulation import (
     Policy,
     RunResult,
-    Scenario,
     SimulationError,
     compare_policies,
     run,
+    schedule,
 )
 
 EXIT_OK = 0
@@ -150,12 +148,8 @@ def _resolve_out_dir(arg: Optional[str]) -> Path:
     return Path("cavcross_out")
 
 
-def _load(path: str) -> Scenario:
-    return load_scenario(path)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     if args.policy:
         scenario = dataclasses.replace(scenario, policy=Policy(args.policy))
     result = run(scenario)
@@ -172,67 +166,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    target = None
-    for arrival in scenario.arrivals:
-        if arrival.vehicle_id == args.vehicle:
-            target = arrival
-            break
+    scenario = load_scenario(args.scenario)
+    target = next((a for a in scenario.arrivals if a.vehicle_id == args.vehicle), None)
     if target is None:
         print(f"error: vehicle {args.vehicle!r} not found in scenario", file=sys.stderr)
         return EXIT_PARSE
 
-    # Rebuild the protocol as it stands when the target vehicle arrives.
-    protocol = CrossingProtocol(scenario.layout)
-    planner = plan_with_diagnostics
-    for arrival in scenario.arrivals:
-        if arrival.vehicle_id == target.vehicle_id:
-            break
-        request = PlanRequest(
-            arrival.vehicle_id, arrival.movement, arrival.time, arrival.v0, arrival.params
-        )
-        if scenario.policy is Policy.FIFO:
-            result = fifo_plan(
-                request,
-                protocol,
-                scenario.layout,
-                lateral_buffer=scenario.lateral_buffer,
-                horizon_cap=scenario.horizon_cap,
-            )
-        else:
-            result, _ = planner(
-                request,
-                protocol,
-                scenario.layout,
-                lateral_buffer=scenario.lateral_buffer,
-                horizon_cap=scenario.horizon_cap,
-            )
-        protocol.register(
-            ProtocolEntry(
-                arrival.vehicle_id,
-                result.trajectory,
-                result.trajectory.inverse_cubic_fit(),
-                result.lane_function,
-                arrival.movement,
-            )
-        )
-
-    request = PlanRequest(
-        target.vehicle_id, target.movement, target.time, target.v0, target.params
-    )
-    min_zone_entry = None
-    if scenario.policy is Policy.FIFO and len(protocol) > 0:
-        min_zone_entry = max(
-            protocol.merging_occupancy(entry).t_in for entry in protocol.entries
-        )
-    result, candidates = plan_with_diagnostics(
-        request,
-        protocol,
-        scenario.layout,
-        lateral_buffer=scenario.lateral_buffer,
-        horizon_cap=scenario.horizon_cap,
-        min_zone_entry=min_zone_entry,
-    )
+    protocol, plans = schedule(scenario, until=target.vehicle_id)
+    result = plans[target.vehicle_id]
+    # The conflict set depends only on the movement, so every lane lists the
+    # same intervals.
+    rejected = [
+        [occ.t_in - scenario.lateral_buffer, occ.t_out + scenario.lateral_buffer]
+        for occ in protocol.conflicting_occupancies(target.movement)
+    ]
     fit = result.trajectory.inverse_cubic_fit()
     record = {
         "vehicle_id": target.vehicle_id,
@@ -251,12 +198,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         "time_of_position_coeffs": [fit.c3, fit.c2, fit.c1, fit.c0],
         "lanes": [
             {
-                "lane": c.lane,
-                "tf_s": c.tf,
-                "binding_constraint": c.binding_constraint.value,
-                "rejected_occupancy_intervals_s": [list(iv) for iv in c.blocked_intervals],
+                "lane": o.lane,
+                "tf_s": o.tf,
+                "binding_constraint": o.binding_constraint.value,
+                "rejected_occupancy_intervals_s": rejected,
             }
-            for c in candidates
+            for o in result.lanes
         ],
     }
     print(json.dumps(record, indent=2))
@@ -264,7 +211,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     comparison = compare_policies(scenario)
     for policy_name, error in comparison.errors.items():
         print(f"{policy_name}: FAILED ({error})")
@@ -323,7 +270,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (SimulationError, PlanningError) as exc:
+    except SimulationError as exc:
         print(f"planning failure: {exc}", file=sys.stderr)
         return EXIT_PLANNING
     except OSError as exc:

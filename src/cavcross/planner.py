@@ -10,8 +10,8 @@ vehicle.  The search combines a closed-form bounds-only lower bracket, a
 fixed-resolution forward scan whose lateral rejections jump straight past
 the blocking occupancy, and a final bisection onto the feasibility boundary.
 
-A first-in-first-out variant adds the constraint that the vehicle may not
-enter the merging zone before any earlier-registered vehicle does.
+Under the first-in-first-out policy the vehicle may, in addition, not enter
+the merging zone before any earlier-registered vehicle does.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .geometry import IntersectionLayout, LaneId, Movement, conflicts
-from .protocol import CrossingProtocol, Occupancy, ProtocolEntry, LaneFunction
+from .geometry import IntersectionLayout, LaneId, Movement
+from .protocol import CrossingProtocol, Occupancy, ProtocolEntry
 from .trajectory import CubicTrajectory, VehicleParams, solve_boundary
 
 # Margin by which planned extrema stay inside the hard bounds, and the
@@ -34,6 +34,11 @@ SAFETY_SLACK = 1e-9
 
 DEFAULT_HORIZON_CAP = 120.0
 DEFAULT_RESOLUTION = 1e-3
+
+
+class Policy(str, Enum):
+    OPTIMAL = "optimal"
+    FIFO = "fifo"
 
 
 class PlanningError(RuntimeError):
@@ -88,23 +93,21 @@ class PlanRequest:
 
 
 @dataclass(frozen=True)
-class PlanResult:
+class LaneOutcome:
+    """Search outcome on one admissible lane; `tf` is None if infeasible."""
+
     lane: LaneId
-    tf: float
-    trajectory: CubicTrajectory
-    lane_function: LaneFunction
+    tf: Optional[float]
     binding_constraint: BindingConstraint
 
 
 @dataclass(frozen=True)
-class LaneCandidate:
-    """Per-lane search outcome, for the plan debug dump."""
-
+class PlanResult:
     lane: LaneId
-    tf: Optional[float]
-    trajectory: Optional[CubicTrajectory]
+    tf: float
+    trajectory: CubicTrajectory
     binding_constraint: BindingConstraint
-    blocked_intervals: tuple[tuple[float, float], ...]
+    lanes: tuple[LaneOutcome, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +240,6 @@ def _bounds_lower_bracket(v0: float, s_total: float, caps: VehicleParams) -> flo
 @dataclass
 class _SearchContext:
     request: PlanRequest
-    lane: LaneId
     s_total: float
     window_entry: float
     window_exit: float
@@ -287,21 +289,14 @@ def _make_context(
 ) -> _SearchContext:
     window = layout.merging_window(request.movement)
     leader = protocol.predecessor_on_lane(lane, request.movement.origin, request.t0)
-    occs = [
-        protocol.merging_occupancy(entry)
-        for entry in protocol.entries
-        if conflicts(request.movement, entry.movement)
-    ]
-    occs.sort(key=lambda o: (o.t_in, o.t_out))
     return _SearchContext(
         request=request,
-        lane=lane,
         s_total=layout.total_distance(request.movement),
         window_entry=window.entry,
         window_exit=window.exit,
         caps=_tightened_params(request.params, request.v0),
         leader=leader,
-        conflicting=occs,
+        conflicting=protocol.conflicting_occupancies(request.movement),
         lateral_buffer=lateral_buffer,
         min_zone_entry=min_zone_entry,
     )
@@ -330,9 +325,7 @@ def _tf_for_zone_entry(
 
 
 def _search_min_tf(
-    ctx: _SearchContext,
-    horizon_cap: float,
-    resolution: float,
+    ctx: _SearchContext, horizon_cap: float
 ) -> tuple[Optional[float], Optional[CubicTrajectory], BindingConstraint]:
     req = ctx.request
     v0, s_total = req.v0, ctx.s_total
@@ -362,7 +355,7 @@ def _search_min_tf(
                     lo, fail_at_lo = mid, fail_mid
             traj = solve_boundary(v0, s_total, req.t0, hi)
             return hi, traj, _FAIL_TO_BINDING[fail_at_lo]
-        nxt = tf + resolution
+        nxt = tf + DEFAULT_RESOLUTION
         if zone_target is not None and tf < jump_hi:
             jumped = _tf_for_zone_entry(ctx, zone_target, tf, jump_hi)
             if jumped is not None:
@@ -405,53 +398,14 @@ def min_feasible_tf(
     *,
     lateral_buffer: float = 0.0,
     horizon_cap: float = DEFAULT_HORIZON_CAP,
-    resolution: float = DEFAULT_RESOLUTION,
     min_zone_entry: Optional[float] = None,
 ) -> Optional[float]:
     """Smallest feasible exit time on one lane, or None within the horizon."""
     if lane not in layout.allowed_lanes(request.movement):
         raise ValueError(f"lane {lane} not admissible for movement {request.movement}")
     ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
-    tf, _, _ = _search_min_tf(ctx, horizon_cap, resolution)
+    tf, _, _ = _search_min_tf(ctx, horizon_cap)
     return tf
-
-
-def plan_with_diagnostics(
-    request: PlanRequest,
-    protocol: CrossingProtocol,
-    layout: IntersectionLayout,
-    *,
-    lateral_buffer: float = 0.0,
-    horizon_cap: float = DEFAULT_HORIZON_CAP,
-    resolution: float = DEFAULT_RESOLUTION,
-    min_zone_entry: Optional[float] = None,
-) -> tuple[PlanResult, list[LaneCandidate]]:
-    """Plan over every admissible lane, returning per-lane search outcomes."""
-    candidates: list[LaneCandidate] = []
-    for lane in layout.allowed_lanes(request.movement):
-        ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
-        blocked = tuple(
-            (occ.t_in - lateral_buffer, occ.t_out + lateral_buffer)
-            for occ in ctx.conflicting
-        )
-        tf, traj, binding = _search_min_tf(ctx, horizon_cap, resolution)
-        candidates.append(LaneCandidate(lane, tf, traj, binding, blocked))
-
-    feasible = [c for c in candidates if c.tf is not None]
-    if not feasible:
-        raise PlanningError(
-            request.vehicle_id,
-            {c.lane: c.binding_constraint for c in candidates},
-        )
-    best = min(feasible, key=lambda c: (c.tf, c.lane))
-    result = PlanResult(
-        lane=best.lane,
-        tf=best.tf,
-        trajectory=best.trajectory,
-        lane_function=LaneFunction.constant(best.lane, request.t0, best.tf),
-        binding_constraint=best.binding_constraint,
-    )
-    return result, candidates
 
 
 def plan(
@@ -459,48 +413,30 @@ def plan(
     protocol: CrossingProtocol,
     layout: IntersectionLayout,
     *,
+    policy: Policy = Policy.OPTIMAL,
     lateral_buffer: float = 0.0,
     horizon_cap: float = DEFAULT_HORIZON_CAP,
-    resolution: float = DEFAULT_RESOLUTION,
 ) -> PlanResult:
     """Lane and minimum exit time for an arriving vehicle.
 
-    Ties between lanes break toward the lowest lane index.
+    Under `Policy.FIFO` the vehicle may not enter the merging zone before any
+    earlier-registered vehicle does (strict entry-order queue).  Ties between
+    lanes break toward the lowest lane index.
     """
-    result, _ = plan_with_diagnostics(
-        request,
-        protocol,
-        layout,
-        lateral_buffer=lateral_buffer,
-        horizon_cap=horizon_cap,
-        resolution=resolution,
-    )
-    return result
-
-
-def fifo_plan(
-    request: PlanRequest,
-    protocol: CrossingProtocol,
-    layout: IntersectionLayout,
-    *,
-    lateral_buffer: float = 0.0,
-    horizon_cap: float = DEFAULT_HORIZON_CAP,
-    resolution: float = DEFAULT_RESOLUTION,
-) -> PlanResult:
-    """Like `plan`, but the vehicle may not enter the merging zone before any
-    earlier-registered vehicle does (strict entry-order queue)."""
     min_zone_entry: Optional[float] = None
-    for entry in protocol.entries:
-        occ = protocol.merging_occupancy(entry)
-        if min_zone_entry is None or occ.t_in > min_zone_entry:
-            min_zone_entry = occ.t_in
-    result, _ = plan_with_diagnostics(
-        request,
-        protocol,
-        layout,
-        lateral_buffer=lateral_buffer,
-        horizon_cap=horizon_cap,
-        resolution=resolution,
-        min_zone_entry=min_zone_entry,
-    )
-    return result
+    if policy is Policy.FIFO:
+        min_zone_entry = max(
+            (protocol.merging_occupancy(entry).t_in for entry in protocol), default=None
+        )
+    searches = []
+    for lane in layout.allowed_lanes(request.movement):
+        ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
+        searches.append((lane, *_search_min_tf(ctx, horizon_cap)))
+    outcomes = tuple(LaneOutcome(lane, tf, binding) for lane, tf, _, binding in searches)
+    feasible = [search for search in searches if search[1] is not None]
+    if not feasible:
+        raise PlanningError(
+            request.vehicle_id, {o.lane: o.binding_constraint for o in outcomes}
+        )
+    lane, tf, traj, binding = min(feasible, key=lambda search: (search[1], search[0]))
+    return PlanResult(lane, tf, traj, binding, outcomes)

@@ -1,7 +1,7 @@
 """Crossing protocol: the intersection's shared store of planned trajectories.
 
 Every vehicle that enters the control zone registers its planned motion law,
-lane schedule and movement here before it starts driving; all later arrivals
+lane and movement here before it starts driving; all later arrivals
 plan against the registered set.  Entries are append-only and are kept after
 their vehicle exits (metrics need them) but drop out of the active set.
 Reads are assumed instantaneous and exact.
@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .geometry import Cardinal, IntersectionLayout, LaneId, Movement
-from .trajectory import CubicTrajectory, InverseFit
+from .geometry import Cardinal, IntersectionLayout, LaneId, Movement, conflicts
+from .trajectory import CubicTrajectory
 
 
 class DuplicateVehicleError(ValueError):
@@ -21,68 +21,13 @@ class DuplicateVehicleError(ValueError):
 
 
 @dataclass(frozen=True)
-class LanePiece:
-    start: float
-    end: float
-    lane: LaneId
-
-
-@dataclass(frozen=True)
-class LaneFunction:
-    """Piecewise-constant lane occupancy over a trajectory's time window."""
-
-    pieces: tuple[LanePiece, ...]
-
-    def __post_init__(self) -> None:
-        if not self.pieces:
-            raise ValueError("lane function needs at least one piece")
-        for piece in self.pieces:
-            if piece.end <= piece.start:
-                raise ValueError("lane piece must have positive duration")
-        for prev, nxt in zip(self.pieces, self.pieces[1:]):
-            if abs(nxt.start - prev.end) > 1e-9:
-                raise ValueError("lane pieces must partition the window without gaps")
-
-    @classmethod
-    def constant(cls, lane: LaneId, t0: float, tf: float) -> "LaneFunction":
-        return cls((LanePiece(t0, tf, lane),))
-
-    @property
-    def start(self) -> float:
-        return self.pieces[0].start
-
-    @property
-    def end(self) -> float:
-        return self.pieces[-1].end
-
-    @property
-    def terminal_lane(self) -> LaneId:
-        return self.pieces[-1].lane
-
-    def lane_at(self, t: float) -> LaneId:
-        if t < self.start - 1e-9 or t > self.end + 1e-9:
-            raise ValueError(f"t={t} outside lane function window")
-        for piece in self.pieces:
-            if t < piece.end:
-                return piece.lane
-        return self.pieces[-1].lane
-
-
-@dataclass(frozen=True)
 class ProtocolEntry:
-    """One vehicle's published plan: motion law, inverse fit, lanes, movement."""
+    """One vehicle's published plan: motion law, lane, movement."""
 
     vehicle_id: str
     trajectory: CubicTrajectory
-    inverse_fit: InverseFit
-    lane_function: LaneFunction
+    lane: LaneId
     movement: Movement
-
-    def __post_init__(self) -> None:
-        if abs(self.lane_function.start - self.trajectory.t0) > 1e-9 or abs(
-            self.lane_function.end - self.trajectory.tf
-        ) > 1e-9:
-            raise ValueError("lane function window must equal the trajectory window")
 
     @property
     def t0(self) -> float:
@@ -127,10 +72,9 @@ class CrossingProtocol:
             raise DuplicateVehicleError(
                 f"vehicle {entry.vehicle_id!r} is already registered"
             )
-        terminal = entry.lane_function.terminal_lane
-        if terminal not in self.layout.allowed_lanes(entry.movement):
+        if entry.lane not in self.layout.allowed_lanes(entry.movement):
             raise ValueError(
-                f"vehicle {entry.vehicle_id!r}: lane {terminal} is not admissible "
+                f"vehicle {entry.vehicle_id!r}: lane {entry.lane} is not admissible "
                 f"for movement {entry.movement}"
             )
         if not entry.trajectory.is_monotone:
@@ -163,7 +107,7 @@ class CrossingProtocol:
                 continue
             if not entry.t0 <= t <= entry.tf:
                 continue
-            if entry.lane_function.lane_at(t) != lane:
+            if entry.lane != lane:
                 continue
             pos = entry.trajectory.eval(t).position
             if pos < best_pos:
@@ -179,12 +123,21 @@ class CrossingProtocol:
                 f"vehicle {entry.vehicle_id!r} is not registered with this protocol"
             ) from None
 
+    def conflicting_occupancies(self, movement: Movement) -> list[Occupancy]:
+        """Merging occupancies of every entry whose movement conflicts with
+        `movement`, sorted by entry then exit time."""
+        return sorted(
+            self._occupancy[entry.vehicle_id]
+            for entry in self._entries
+            if conflicts(movement, entry.movement)
+        )
+
     def to_records(self) -> list[dict]:
         """Serializable dump: one record per entry, in registration order."""
         records = []
         for entry in self._entries:
             traj = entry.trajectory
-            fit = entry.inverse_fit
+            fit = traj.inverse_cubic_fit()
             records.append(
                 {
                     "vehicle_id": entry.vehicle_id,
@@ -201,9 +154,7 @@ class CrossingProtocol:
                     # fitted time-of-position coefficients in absolute seconds
                     "time_of_position_coeffs": [fit.c3, fit.c2, fit.c1, fit.c0],
                     "time_of_position_max_residual_s": fit.max_residual,
-                    "lane_intervals": [
-                        [p.start, p.end, p.lane] for p in entry.lane_function.pieces
-                    ],
+                    "lane_intervals": [[traj.t0, traj.tf, entry.lane]],
                 }
             )
         return records

@@ -238,7 +238,8 @@ def parse_scenario_dict(doc: Any) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     text = Path(path).read_text()
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's parser when PyYAML was built with it; same constructors.
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark is not None else "document"

@@ -14,24 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from .geometry import IntersectionLayout, LaneId, Movement, conflicts
 from .planner import (
     PlanRequest,
     PlanResult,
     PlanningError,
-    fifo_plan,
+    Policy,
     lateral_separation,
     plan,
 )
 from .protocol import CrossingProtocol, ProtocolEntry
 from .trajectory import CubicTrajectory, VehicleParams
-
-
-class Policy(str, Enum):
-    OPTIMAL = "optimal"
-    FIFO = "fifo"
 
 
 class VehiclePhase(str, Enum):
@@ -61,6 +56,11 @@ class Scenario:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # A plain "fifo" string would otherwise be planned as optimal.
+        object.__setattr__(self, "policy", Policy(self.policy))
+        for name in ("dt", "lateral_buffer", "horizon_cap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.lateral_buffer < 0:
@@ -73,6 +73,8 @@ class Scenario:
             if arrival.vehicle_id in seen:
                 raise ValueError(f"duplicate vehicle id {arrival.vehicle_id!r}")
             seen.add(arrival.vehicle_id)
+            if not math.isfinite(arrival.time):
+                raise ValueError(f"arrival time of {arrival.vehicle_id!r} must be finite")
             if arrival.time < prev:
                 raise ValueError("arrival times must be non-decreasing")
             prev = arrival.time
@@ -234,7 +236,7 @@ def snapshot(
                 position=sample.position,
                 speed=sample.speed,
                 accel=sample.accel,
-                lane=entry.lane_function.lane_at(t),
+                lane=entry.lane,
                 phase=phase,
                 gap=gap,
             )
@@ -245,7 +247,6 @@ def snapshot(
 def _nearest_leader(
     protocol: CrossingProtocol, entry: ProtocolEntry, t: float, position: float
 ) -> Optional[ProtocolEntry]:
-    lane = entry.lane_function.lane_at(t)
     best: Optional[ProtocolEntry] = None
     best_pos = math.inf
     for other in protocol.active_entries(t):
@@ -253,7 +254,7 @@ def _nearest_leader(
             continue
         if other.movement.origin != entry.movement.origin:
             continue
-        if other.lane_function.lane_at(t) != lane:
+        if other.lane != entry.lane:
             continue
         pos = other.trajectory.eval(t).position
         if pos >= position and pos < best_pos:
@@ -365,16 +366,16 @@ def integrate_dynamics(
 # Run loop
 # ---------------------------------------------------------------------------
 
-def run(scenario: Scenario) -> RunResult:
-    """Execute a scenario: plan each arrival, then sample, monitor, and score."""
-    layout = scenario.layout
-    protocol = CrossingProtocol(layout)
-    plans: dict[str, PlanResult] = {}
-    params_by_id: dict[str, VehicleParams] = {}
+def schedule(
+    scenario: Scenario, until: Optional[str] = None
+) -> tuple[CrossingProtocol, dict[str, PlanResult]]:
+    """Plan each arrival in order and register its plan in a fresh protocol.
 
-    planner: Callable[..., PlanResult] = (
-        plan if scenario.policy is Policy.OPTIMAL else fifo_plan
-    )
+    With `until`, stop once that vehicle is planned, leaving it unregistered:
+    the protocol is then the one its plan was made against.
+    """
+    protocol = CrossingProtocol(scenario.layout)
+    plans: dict[str, PlanResult] = {}
     for arrival in scenario.arrivals:
         request = PlanRequest(
             vehicle_id=arrival.vehicle_id,
@@ -384,25 +385,34 @@ def run(scenario: Scenario) -> RunResult:
             params=arrival.params,
         )
         try:
-            result = planner(
+            result = plan(
                 request,
                 protocol,
-                layout,
+                scenario.layout,
+                policy=scenario.policy,
                 lateral_buffer=scenario.lateral_buffer,
                 horizon_cap=scenario.horizon_cap,
             )
         except PlanningError as exc:
             raise SimulationError(arrival.vehicle_id, exc) from exc
-        entry = ProtocolEntry(
-            vehicle_id=arrival.vehicle_id,
-            trajectory=result.trajectory,
-            inverse_fit=result.trajectory.inverse_cubic_fit(),
-            lane_function=result.lane_function,
-            movement=arrival.movement,
-        )
-        protocol.register(entry)
         plans[arrival.vehicle_id] = result
-        params_by_id[arrival.vehicle_id] = arrival.params
+        if arrival.vehicle_id == until:
+            break
+        protocol.register(
+            ProtocolEntry(
+                vehicle_id=arrival.vehicle_id,
+                trajectory=result.trajectory,
+                lane=result.lane,
+                movement=arrival.movement,
+            )
+        )
+    return protocol, plans
+
+
+def run(scenario: Scenario) -> RunResult:
+    """Execute a scenario: plan each arrival, then sample, monitor, and score."""
+    protocol, plans = schedule(scenario)
+    params_by_id = {a.vehicle_id: a.params for a in scenario.arrivals}
 
     log: list[LogRow] = []
     violations: list[Violation] = []
@@ -468,15 +478,15 @@ def _build_metrics(
     for vid, result in plans.items():
         entry = protocol.get(vid)
         occ = protocol.merging_occupancy(entry)
-        lat: Optional[float] = None
-        for other in protocol.entries:
-            if other.vehicle_id == vid:
-                continue
-            if not conflicts(entry.movement, other.movement):
-                continue
-            sep = lateral_separation(occ, protocol.merging_occupancy(other))
-            if lat is None or sep < lat:
-                lat = sep
+        # Same-approach movements never conflict, so the vehicle's own
+        # occupancy is not among these.
+        lat = min(
+            (
+                lateral_separation(occ, other)
+                for other in protocol.conflicting_occupancies(entry.movement)
+            ),
+            default=None,
+        )
         arrival = arrivals[vid]
         per_vehicle[vid] = VehicleMetrics(
             travel_time=result.tf - arrival.time,

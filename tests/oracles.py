@@ -94,13 +94,19 @@ def dense_rear_end_min(
     n = int(math.floor((hi - lo) / dt))
     times = np.append(lo + np.arange(0.0, n + 1) * dt, hi)
     times = times[times <= hi + 1e-12]
-    worst = math.inf
-    for t in times:
-        pi, vi, _ = candidate.eval(float(t))
-        pk, _, _ = leader.eval(float(t))
-        margin = params.reaction_gain * (pk - pi) - params.safe_distance(vi)
-        worst = min(worst, margin)
-    return worst
+    pi, vi = _position_speed(candidate, times)
+    pk, _ = _position_speed(leader, times)
+    margins = params.reaction_gain * (pk - pi) - params.safe_distance(vi)
+    return float(margins.min())
+
+
+def _position_speed(traj: CubicTrajectory, times: np.ndarray):
+    """Position and speed at absolute `times`, with the clamping of tau and
+    the Horner order of `CubicTrajectory.eval`."""
+    tau = np.minimum(np.maximum(times - traj.t0, 0.0), traj.duration)
+    p = ((traj.c3 * tau + traj.c2) * tau + traj.c1) * tau + traj.c0
+    v = (3.0 * traj.c3 * tau + 2.0 * traj.c2) * tau + traj.c1
+    return p, v
 
 
 def grid_min_tf(
@@ -147,12 +153,6 @@ def make_entry(
     lane: int,
 ) -> ProtocolEntry:
     """Protocol entry helper for hand-built trajectories."""
-    from cavcross import LaneFunction
-
     return ProtocolEntry(
-        vehicle_id=vehicle_id,
-        trajectory=traj,
-        inverse_fit=traj.inverse_cubic_fit(),
-        lane_function=LaneFunction.constant(lane, traj.t0, traj.tf),
-        movement=movement,
+        vehicle_id=vehicle_id, trajectory=traj, lane=lane, movement=movement
     )

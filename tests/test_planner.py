@@ -11,8 +11,8 @@ from cavcross import (
     Movement,
     PlanRequest,
     PlanningError,
+    Policy,
     VehicleParams,
-    fifo_plan,
     lateral_ok,
     min_feasible_tf,
     plan,
@@ -82,6 +82,25 @@ class TestRearEnd:
             # The dense sample can never find a smaller margin than the
             # true minimum.
             assert dense >= analytic - 1e-12
+
+    def test_dense_oracle_equals_per_sample_eval(self, params):
+        # The vectorized oracle must reproduce, bit for bit, sampling through
+        # CubicTrajectory.eval at the same instants.
+        rng = np.random.default_rng(5)
+        dt = 0.05
+        for _ in range(20):
+            lead = solve_boundary(rng.uniform(6.0, 14.0), 275.0, 0.0, rng.uniform(22.0, 40.0))
+            h = rng.uniform(0.0, 3.0)
+            follow = solve_boundary(rng.uniform(6.0, 14.0), 275.0, h, h + rng.uniform(22.0, 40.0))
+            lo, hi = max(follow.t0, lead.t0), min(follow.tf, lead.tf)
+            n = int(math.floor((hi - lo) / dt))
+            times = np.append(lo + np.arange(0.0, n + 1) * dt, hi)
+            looped = min(
+                params.reaction_gain * (lead.eval(float(t)).position - follow.eval(float(t)).position)
+                - params.safe_distance(follow.eval(float(t)).speed)
+                for t in times[times <= hi + 1e-12]
+            )
+            assert oracles.dense_rear_end_min(follow, lead, params, dt=dt) == looped
 
 
 class TestLateral:
@@ -337,8 +356,7 @@ class TestPlan:
             for leader in entries[:i]:
                 if (
                     leader.movement.origin == follower.movement.origin
-                    and leader.lane_function.terminal_lane
-                    == follower.lane_function.terminal_lane
+                    and leader.lane == follower.lane
                 ):
                     assert rear_end_ok(follower.trajectory, leader, params)
         from cavcross import conflicts, lateral_separation
@@ -371,7 +389,7 @@ class TestFifoPlan:
     def test_empty_protocol_identical_to_plan(self, layout, params):
         req = request(v0=10.0)
         a = plan(req, CrossingProtocol(layout), layout)
-        b = fifo_plan(req, CrossingProtocol(layout), layout)
+        b = plan(req, CrossingProtocol(layout), layout, policy=Policy.FIFO)
         assert a.tf == b.tf and a.lane == b.lane
 
     def test_fifo_never_faster(self, layout, params):
@@ -392,7 +410,7 @@ class TestFifoPlan:
                 last_by_approach[movement.origin] = t0
                 req = request(f"t{trial}v{k}", movement, t0, v0, params)
                 opt = plan(req, opt_protocol, layout)
-                fifo = fifo_plan(req, fifo_protocol, layout)
+                fifo = plan(req, fifo_protocol, layout, policy=Policy.FIFO)
                 assert fifo.tf >= opt.tf - 1e-9, (trial, k)
                 opt_protocol.register(
                     oracles.make_entry(req.vehicle_id, opt.trajectory, movement, opt.lane)
@@ -411,7 +429,7 @@ class TestFifoPlan:
         lead_occ = protocol.merging_occupancy(protocol.get("lead"))
 
         req = request(v0=10.0, t0=1.0)
-        result = fifo_plan(req, protocol, layout)
+        result = plan(req, protocol, layout, policy=Policy.FIFO)
         t_in = result.trajectory.invert(125.0)
         assert t_in >= lead_occ.t_in - 1e-9
         # The optimal policy crosses first instead.

@@ -6,10 +6,7 @@ from cavcross import (
     Cardinal,
     CrossingProtocol,
     DuplicateVehicleError,
-    LaneFunction,
-    LanePiece,
     Movement,
-    ProtocolEntry,
     solve_boundary,
 )
 
@@ -21,30 +18,6 @@ W, E, N, S = Cardinal.W, Cardinal.E, Cardinal.N, Cardinal.S
 def constant_speed_entry(vehicle_id, lane, movement, v0=10.0, t0=0.0, s=275.0):
     traj = solve_boundary(v0, s, t0, t0 + s / v0)
     return oracles.make_entry(vehicle_id, traj, movement, lane)
-
-
-class TestLaneFunction:
-    def test_constant(self):
-        lf = LaneFunction.constant(3, 0.0, 10.0)
-        assert lf.lane_at(0.0) == 3
-        assert lf.lane_at(9.999) == 3
-        assert lf.terminal_lane == 3
-
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            LaneFunction((LanePiece(0.0, 5.0, 1), LanePiece(6.0, 10.0, 2)))
-        with pytest.raises(ValueError):
-            LaneFunction((LanePiece(0.0, 0.0, 1),))
-        with pytest.raises(ValueError):
-            LaneFunction(())
-
-    def test_piecewise_lookup(self):
-        lf = LaneFunction((LanePiece(0.0, 4.0, 1), LanePiece(4.0, 10.0, 2)))
-        assert lf.lane_at(2.0) == 1
-        assert lf.lane_at(4.5) == 2
-        assert lf.terminal_lane == 2
-        with pytest.raises(ValueError):
-            lf.lane_at(11.0)
 
 
 class TestRegister:
@@ -178,6 +151,23 @@ class TestMergingOccupancy:
             protocol.merging_occupancy(entry)
 
 
+class TestConflictingOccupancies:
+    def test_crossing_entries_sorted_and_same_approach_excluded(self, layout):
+        protocol = CrossingProtocol(layout)
+        lane_we = layout.allowed_lanes(Movement(W, E))[0]
+        lane_ns = layout.allowed_lanes(Movement(N, S))[0]
+        protocol.register(constant_speed_entry("late_we", lane_we, Movement(W, E), t0=6.0))
+        protocol.register(constant_speed_entry("ns", lane_ns, Movement(N, S), t0=3.0))
+        protocol.register(constant_speed_entry("early_we", lane_we, Movement(W, E), t0=0.0))
+        occ = {e.vehicle_id: protocol.merging_occupancy(e) for e in protocol}
+        assert protocol.conflicting_occupancies(Movement(N, S)) == [
+            occ["early_we"],
+            occ["late_we"],
+        ]
+        assert protocol.conflicting_occupancies(Movement(W, E)) == [occ["ns"]]
+        assert CrossingProtocol(layout).conflicting_occupancies(Movement(W, E)) == []
+
+
 class TestSerialization:
     def test_records_round_trip_fields(self, layout):
         protocol = CrossingProtocol(layout)
@@ -192,16 +182,3 @@ class TestSerialization:
         assert record["lane_intervals"] == [[0.0, 25.0, lane]]
         assert record["time_of_position_max_residual_s"] >= 0.0
 
-
-class TestEntryValidation:
-    def test_window_mismatch_rejected(self, layout):
-        traj = solve_boundary(10.0, 275.0, 0.0, 25.0)
-        lane = layout.allowed_lanes(Movement(W, E))[0]
-        with pytest.raises(ValueError):
-            ProtocolEntry(
-                vehicle_id="bad",
-                trajectory=traj,
-                inverse_fit=traj.inverse_cubic_fit(),
-                lane_function=LaneFunction.constant(lane, 0.0, 24.0),
-                movement=Movement(W, E),
-            )

@@ -120,8 +120,9 @@ class TestValidation:
     def test_invalid_yaml_reports_line(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("layout: [unclosed\n")
-        with pytest.raises(ScenarioError, match="YAML"):
+        with pytest.raises(ScenarioError, match="YAML") as info:
             load_scenario(path)
+        assert info.value.field == "line 2"
 
 
 class TestRoundTrip:

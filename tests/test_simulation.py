@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -19,6 +20,7 @@ from cavcross import (
     load_scenario,
     monitor,
     run,
+    schedule,
     snapshot,
     solve_boundary,
 )
@@ -56,6 +58,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             make_scenario([("a", 0.0, WE, 10.0)], dt=0.0)
 
+    @pytest.mark.parametrize(
+        "arrival_time, kwargs",
+        [
+            (math.nan, {}),
+            (0.0, {"dt": math.inf}),
+            (0.0, {"horizon_cap": math.nan}),
+            (0.0, {"lateral_buffer": math.nan}),
+        ],
+        ids=["arrival_time_nan", "dt_inf", "horizon_cap_nan", "lateral_buffer_nan"],
+    )
+    def test_non_finite_rejected(self, arrival_time, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            make_scenario([("a", arrival_time, WE, 10.0)], **kwargs)
+
+    def test_policy_string_coerced_or_rejected(self):
+        assert make_scenario([], policy="fifo").policy is Policy.FIFO
+        with pytest.raises(ValueError):
+            make_scenario([], policy="lifo")
+
 
 class TestRun:
     def test_empty_scenario(self):
@@ -74,6 +95,16 @@ class TestRun:
         assert m.min_rear_margin is None
         assert m.min_lateral_margin is None
         assert result.ok
+
+    def test_schedule_until_leaves_the_named_vehicle_unregistered(self):
+        scenario = make_scenario(
+            [("a", 0.0, WE, 10.0), ("b", 2.0, NS, 9.0), ("c", 4.0, WE, 11.0), ("d", 5.0, NS, 10.0)],
+            policy=Policy.FIFO,
+        )
+        protocol, plans = schedule(scenario, until="c")
+        assert [e.vehicle_id for e in protocol] == ["a", "b"]
+        assert list(plans) == ["a", "b", "c"]
+        assert plans["c"] == run(scenario).plans["c"]
 
     def test_executed_positions_are_the_closed_form(self):
         result = run(make_scenario([("a", 0.0, WE, 10.0), ("b", 2.0, NS, 9.0)]))
@@ -293,8 +324,7 @@ class TestDenseTrafficSoak:
                 for leader in entries[:i]:
                     if (
                         leader.movement.origin == follower.movement.origin
-                        and leader.lane_function.terminal_lane
-                        == follower.lane_function.terminal_lane
+                        and leader.lane == follower.lane
                     ):
                         assert rear_end_ok(
                             follower.trajectory, leader, params_by_id[follower.vehicle_id]
