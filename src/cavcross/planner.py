@@ -424,7 +424,7 @@ def plan(
     lanes break toward the lowest lane index.
     """
     min_zone_entry: Optional[float] = None
-    if policy is Policy.FIFO:
+    if Policy(policy) is Policy.FIFO:
         min_zone_entry = max(
             (protocol.merging_occupancy(entry).t_in for entry in protocol), default=None
         )

@@ -432,6 +432,7 @@ class TestFifoPlan:
         result = plan(req, protocol, layout, policy=Policy.FIFO)
         t_in = result.trajectory.invert(125.0)
         assert t_in >= lead_occ.t_in - 1e-9
+        assert plan(req, protocol, layout, policy="fifo") == result
         # The optimal policy crosses first instead.
         opt = plan(req, protocol, layout)
         assert opt.trajectory.invert(125.0) < lead_occ.t_in
