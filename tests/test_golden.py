@@ -44,6 +44,19 @@ RUN_GOLDEN = {
     },
 }
 
+# `cavcross run` on generate_random_scenario(seed=1, n_vehicles=40,
+# mean_gap=2.0) under optimal: 73,469 sampled rows, 18,369 of them behind a
+# leader, so leader finding is covered at scale.
+DENSE_RUN_GOLDEN = {
+    "trajectory.csv": "c2bd665a618220c84076d0f53ee2e7d15d3f3ca11d6987cb59c615047e50bffa",
+    "metrics.json": "a584d80b4ef5fd2db749f385ab9cbcc57560855619f4b52e3c4ffd09f91253cc",
+    "protocol.json": "a188ca75beb304d2df75c843d935df3b0727a22a142fe9896dafaeafe18d593d",
+    "plots/position.csv": "fdfa1554388718e70408afe101c24da50d2392953b1cc95c4933c41e8be67a2a",
+    "plots/speed.csv": "a690793a11f2a85e3a4167cd223b80a3fee571920612187333e2d5e539733488",
+    "plots/accel.csv": "ccd7fce1753754b8a27899ae1126cdd0200309c81087da121afbc3e7b2928a61",
+    "plots/rear_margin.csv": "4e262f8b3ca64e4325f114c0625e5ea5861a50e5af01aa0f93f6781706f53c07",
+}
+
 # `cavcross plan --vehicle veh60` on generate_random_scenario(seed=7,
 # n_vehicles=60, mean_gap=3.0), saved with each policy.
 PLAN_GOLDEN = {
@@ -63,6 +76,16 @@ def test_run_outputs_match_golden(policy, reference_path, tmp_path):
     assert code == EXIT_OK
     hashes = {name: _sha256((out / name).read_bytes()) for name in RUN_FILES}
     assert hashes == RUN_GOLDEN[policy]
+
+
+def test_dense_run_outputs_match_golden(tmp_path):
+    path = tmp_path / "dense.yaml"
+    save_scenario(generate_random_scenario(seed=1, n_vehicles=40, mean_gap=2.0), path)
+    out = tmp_path / "out"
+    code = main(["run", str(path), "--out", str(out)])
+    assert code == EXIT_OK
+    hashes = {name: _sha256((out / name).read_bytes()) for name in RUN_FILES}
+    assert hashes == DENSE_RUN_GOLDEN
 
 
 @pytest.mark.parametrize("policy", ["optimal", "fifo"])
