@@ -50,10 +50,10 @@ from .simulation import (
     MetricsReport,
     Policy,
     RunResult,
+    Samples,
     Scenario,
     SimulationError,
     VehiclePhase,
-    VehicleState,
     Violation,
     compare_policies,
     integrate_dynamics,

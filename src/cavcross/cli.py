@@ -9,17 +9,22 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from .scenario import ScenarioError, load_scenario
 from .simulation import (
     Policy,
     RunResult,
+    Samples,
     SimulationError,
     compare_policies,
     run,
@@ -45,10 +50,6 @@ TRAJECTORY_CSV_HEADER = [
 ]
 
 
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else repr(value)
-
-
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -62,41 +63,73 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def trajectory_csv(result: RunResult) -> str:
-    import io
+class _Cells(NamedTuple):
+    """A run's sampled values, each formatted once with `repr`."""
 
+    times: list[str]  # each distinct sample time, ascending
+    time_index: np.ndarray  # per row: index into `times`
+    columns: dict[str, list[str]]  # per row; "" where there is no value
+
+
+def _format_cells(log: Samples) -> _Cells:
+    # Python floats: under numpy 2 the repr of an np.float64 names the type.
+    new_time = np.ones(len(log.t), dtype=bool)
+    new_time[1:] = log.t[1:] != log.t[:-1]
+    columns = {
+        name: list(map(repr, getattr(log, name).tolist()))
+        for name in ("position", "speed", "accel")
+    }
+    columns["rear_margin"] = [
+        "" if math.isnan(m) else repr(m) for m in log.rear_margin.tolist()
+    ]
+    return _Cells(
+        list(map(repr, log.t[new_time].tolist())), np.cumsum(new_time) - 1, columns
+    )
+
+
+def _csv_row(fields: list) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRAJECTORY_CSV_HEADER)
-    for row in result.log:
-        writer.writerow(
-            [
-                repr(row.t),
-                row.vehicle_id,
-                row.lane,
-                repr(row.position),
-                repr(row.speed),
-                repr(row.accel),
-                _fmt(row.rear_margin),
-            ]
-        )
+    csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()
 
 
-def _wide_series_csv(result: RunResult, column: str) -> str:
-    import io
+def _join_rows(header: list, rows: Iterable[str]) -> str:
+    body = "\n".join(rows)
+    return _csv_row(header) + (body + "\n" if body else "")
 
-    vehicle_ids = list(result.plans)
-    by_time: dict[float, dict[str, float]] = {}
-    for row in result.log:
-        by_time.setdefault(row.t, {})[row.vehicle_id] = getattr(row, column)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + vehicle_ids)
-    for t in sorted(by_time):
-        values = by_time[t]
-        writer.writerow([repr(t)] + [_fmt(values.get(vid)) for vid in vehicle_ids])
-    return buf.getvalue()
+
+def trajectory_csv(result: RunResult, cells: Optional[_Cells] = None) -> str:
+    log = result.log
+    cells = _format_cells(log) if cells is None else cells
+    # Vehicle ids are quoted as the csv module quotes them.
+    labels = [_csv_row([vid, lane])[:-1] for vid, lane in zip(log.vehicle_ids, log.lanes)]
+    return _join_rows(
+        TRAJECTORY_CSV_HEADER,
+        map(
+            ",".join,
+            zip(
+                [cells.times[i] for i in cells.time_index.tolist()],
+                [labels[i] for i in log.vehicle.tolist()],
+                cells.columns["position"],
+                cells.columns["speed"],
+                cells.columns["accel"],
+                cells.columns["rear_margin"],
+            ),
+        ),
+    )
+
+
+def _wide_series_csv(result: RunResult, column: str, cells: Optional[_Cells] = None) -> str:
+    """One row per sample time, one column per vehicle in registration order;
+    a cell is empty where the vehicle has no value at that time."""
+    log = result.log
+    cells = _format_cells(log) if cells is None else cells
+    grid = np.full((len(cells.times), len(log.vehicle_ids)), "", dtype=object)
+    grid[cells.time_index, log.vehicle] = cells.columns[column]
+    return _join_rows(
+        ["t", *log.vehicle_ids],
+        (t + "," + ",".join(row) for t, row in zip(cells.times, grid.tolist())),
+    )
 
 
 def metrics_json(result: RunResult) -> str:
@@ -122,21 +155,18 @@ def metrics_json(result: RunResult) -> str:
 
 
 def write_outputs(result: RunResult, out_dir: Path) -> None:
-    _atomic_write(out_dir / "trajectory.csv", trajectory_csv(result))
+    cells = _format_cells(result.log)
+    _atomic_write(out_dir / "trajectory.csv", trajectory_csv(result, cells))
     _atomic_write(out_dir / "metrics.json", metrics_json(result))
     _atomic_write(
         out_dir / "protocol.json",
         json.dumps({"entries": result.protocol.to_records()}, indent=2, sort_keys=True)
         + "\n",
     )
-    panels = {
-        "position": "position",
-        "speed": "speed",
-        "accel": "accel",
-        "rear_margin": "rear_margin",
-    }
-    for name, column in panels.items():
-        _atomic_write(out_dir / "plots" / f"{name}.csv", _wide_series_csv(result, column))
+    for column in ("position", "speed", "accel", "rear_margin"):
+        _atomic_write(
+            out_dir / "plots" / f"{column}.csv", _wide_series_csv(result, column, cells)
+        )
 
 
 def _resolve_out_dir(arg: Optional[str]) -> Path:

@@ -1,12 +1,14 @@
-"""Deterministic scenario execution: plan on arrival, register, roll forward.
+"""Deterministic scenario execution: plan on arrival, register, sample.
 
 Vehicles are planned in arrival order against the crossing protocol as it
 stands when they reach the control zone, then follow their closed-form
-trajectories exactly; the fixed-step loop below only samples those closed
-forms for logging and safety monitoring, so two runs of one scenario are
-bit-identical.  A classical fixed-step integration of the vehicle dynamics
-under the same control input is kept as an independent cross-check of the
-closed forms.
+trajectories exactly.  A run samples those closed forms on the grid
+t = k*dt in one columnar pass (`snapshot`, numpy arrays with one row per
+grid time and active vehicle, no object per sample) and checks the samples
+for safety and bound violations (`monitor`), so two runs of one scenario
+are bit-identical.  A classical fixed-step integration of the vehicle
+dynamics under the same control input is kept as an independent
+cross-check of the closed forms.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .geometry import IntersectionLayout, LaneId, Movement, conflicts
 from .planner import (
@@ -43,6 +47,15 @@ class Arrival:
     movement: Movement
     v0: float
     params: VehicleParams
+
+    def __post_init__(self) -> None:
+        # The same checks as the scenario parser; v0 is checked when planned.
+        if not isinstance(self.vehicle_id, str) or not self.vehicle_id:
+            raise ValueError(f"vehicle id must be a non-empty string, got {self.vehicle_id!r}")
+        if not isinstance(self.movement, Movement):
+            raise ValueError(f"movement must be a Movement, got {self.movement!r}")
+        if not isinstance(self.params, VehicleParams):
+            raise ValueError(f"params must be VehicleParams, got {self.params!r}")
 
 
 @dataclass(frozen=True)
@@ -80,15 +93,48 @@ class Scenario:
             prev = arrival.time
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    vehicle_id: str
-    position: float
-    speed: float
-    accel: float
-    lane: LaneId
-    phase: VehiclePhase
-    gap: Optional[float]  # scaled distance to the nearest leader, if any
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """Sampled closed-form states as columns.
+
+    One row per (grid time, active vehicle), ordered by time, then by
+    registration order.  `vehicle` indexes `vehicle_ids` and `lanes`, and
+    `phase` indexes `PHASES`.  `gap` is the reaction-scaled distance to the
+    nearest leader, `rear_margin` that gap less the safe distance; both are
+    NaN for a vehicle without a leader.
+    """
+
+    PHASES = (VehiclePhase.APPROACH, VehiclePhase.MERGING_ZONE, VehiclePhase.EXIT)
+    COLUMNS = ("t", "vehicle", "position", "speed", "accel", "phase", "gap", "rear_margin")
+
+    vehicle_ids: tuple[str, ...]
+    lanes: tuple[LaneId, ...]
+    t: np.ndarray
+    vehicle: np.ndarray
+    position: np.ndarray
+    speed: np.ndarray
+    accel: np.ndarray
+    phase: np.ndarray
+    gap: np.ndarray
+    rear_margin: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Samples):
+            return NotImplemented
+        return (
+            self.vehicle_ids == other.vehicle_ids
+            and self.lanes == other.lanes
+            and all(
+                np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True)
+                for c in self.COLUMNS
+            )
+        )
+
+    def phase_of(self, row: int) -> VehiclePhase:
+        return self.PHASES[self.phase[row]]
 
 
 @dataclass(frozen=True)
@@ -98,17 +144,6 @@ class Violation:
     vehicle_ids: tuple[str, ...]
     value: float
     message: str
-
-
-@dataclass(frozen=True)
-class LogRow:
-    t: float
-    vehicle_id: str
-    lane: LaneId
-    position: float
-    speed: float
-    accel: float
-    rear_margin: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -184,7 +219,7 @@ class IntegrationCheck:
 class RunResult:
     scenario: Scenario
     metrics: MetricsReport
-    log: list[LogRow]
+    log: Samples
     protocol: CrossingProtocol
     violations: list[Violation]
     plans: dict[str, PlanResult]
@@ -209,118 +244,170 @@ class SimulationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def snapshot(
-    protocol: CrossingProtocol, t: float, params_by_id: dict[str, VehicleParams]
-) -> list[VehicleState]:
-    """Closed-form states of all active vehicles at time t."""
-    states: list[VehicleState] = []
-    active = protocol.active_entries(t)
-    for entry in active:
-        sample = entry.trajectory.eval(t)
-        window = protocol.layout.merging_window(entry.movement)
-        if sample.position < window.entry:
-            phase = VehiclePhase.APPROACH
-        elif sample.position < window.exit:
-            phase = VehiclePhase.MERGING_ZONE
-        else:
-            phase = VehiclePhase.EXIT
-        leader = _nearest_leader(protocol, entry, t, sample.position)
-        gap = None
-        if leader is not None:
-            params = params_by_id[entry.vehicle_id]
-            gap = params.reaction_gain * (
-                leader.trajectory.eval(t).position - sample.position
-            )
-        states.append(
-            VehicleState(
-                vehicle_id=entry.vehicle_id,
-                position=sample.position,
-                speed=sample.speed,
-                accel=sample.accel,
-                lane=entry.lane,
-                phase=phase,
-                gap=gap,
-            )
-        )
-    return states
+    protocol: CrossingProtocol,
+    times: Sequence[float],
+    params_by_id: dict[str, VehicleParams],
+) -> Samples:
+    """Closed-form states of the registered vehicles at ascending `times`.
 
+    A vehicle has a row at t exactly when t0 <= t <= tf, as in
+    `CrossingProtocol.active_entries`; each cubic is evaluated with the
+    clamping of tau and the Horner order of `CubicTrajectory.eval`.
+    """
+    times = np.asarray(times)
+    entries = protocol.entries
+    trajs = [e.trajectory for e in entries]
+    laws = np.array(
+        [(tr.c3, tr.c2, tr.c1, tr.c0, tr.t0, tr.duration) for tr in trajs], dtype=float
+    ).reshape(-1, 6)
+    params = [params_by_id[e.vehicle_id] for e in entries]
+    gains = np.array(
+        [(p.reaction_gain, p.standstill_gap, p.headway) for p in params], dtype=float
+    ).reshape(-1, 3)
+    windows = np.array(
+        [protocol.layout.merging_window(e.movement) for e in entries], dtype=float
+    ).reshape(-1, 2)
+    # Rear-end followers share an approach and a lane.
+    groups: dict[tuple, int] = {}
+    group_of = np.array(
+        [groups.setdefault((e.movement.origin, e.lane), len(groups)) for e in entries],
+        dtype=np.intp,
+    )
 
-def _nearest_leader(
-    protocol: CrossingProtocol, entry: ProtocolEntry, t: float, position: float
-) -> Optional[ProtocolEntry]:
-    best: Optional[ProtocolEntry] = None
-    best_pos = math.inf
-    for other in protocol.active_entries(t):
-        if other.vehicle_id == entry.vehicle_id:
-            continue
-        if other.movement.origin != entry.movement.origin:
-            continue
-        if other.lane != entry.lane:
-            continue
-        pos = other.trajectory.eval(t).position
-        if pos >= position and pos < best_pos:
-            best, best_pos = other, pos
-    return best
+    # Each vehicle's rows are one run of grid steps; lay them out vehicle by
+    # vehicle, then reorder by step (stable, so registration order holds).
+    lo = np.searchsorted(times, [tr.t0 for tr in trajs], side="left")
+    hi = np.searchsorted(times, [tr.tf for tr in trajs], side="right")
+    counts = np.maximum(hi - lo, 0)
+    vehicle = np.repeat(np.arange(len(entries)), counts)
+    step = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    order = np.argsort(step, kind="stable")
+    step, vehicle = step[order], vehicle[order]
+
+    c3, c2, c1, c0, t0, duration = laws[vehicle].T
+    t = times[step]
+    tau = np.minimum(np.maximum(t - t0, 0.0), duration)
+    position = ((c3 * tau + c2) * tau + c1) * tau + c0
+    speed = (3.0 * c3 * tau + 2.0 * c2) * tau + c1
+    accel = 6.0 * c3 * tau + 2.0 * c2
+    zone = windows[vehicle]
+    phase = (position >= zone[:, 0]).astype(np.int8) + (position >= zone[:, 1])
+
+    # The leader is the nearest other vehicle of the group at or ahead of
+    # this one: the next in position order, or an equal-position one before.
+    group = group_of[vehicle]
+    by_pos = np.lexsort((position, group, step))
+    ranked = position[by_pos]
+    same = (step[by_pos][1:] == step[by_pos][:-1]) & (group[by_pos][1:] == group[by_pos][:-1])
+    lead = np.full(len(ranked), np.nan)
+    lead[:-1] = np.where(same, ranked[1:], np.nan)
+    tied = np.flatnonzero(same & (ranked[1:] == ranked[:-1])) + 1
+    lead[tied] = ranked[tied]
+    leader_position = np.empty_like(lead)
+    leader_position[by_pos] = lead
+
+    gain, standstill_gap, headway = gains[vehicle].T
+    gap = gain * (leader_position - position)
+    return Samples(
+        vehicle_ids=tuple(e.vehicle_id for e in entries),
+        lanes=tuple(e.lane for e in entries),
+        t=t,
+        vehicle=vehicle,
+        position=position,
+        speed=speed,
+        accel=accel,
+        phase=phase,
+        gap=gap,
+        rear_margin=gap - (standstill_gap + headway * speed),
+    )
 
 
 def monitor(
-    states: list[VehicleState],
+    samples: Samples,
     protocol: CrossingProtocol,
     params_by_id: dict[str, VehicleParams],
-    t: float,
 ) -> list[Violation]:
-    """Instantaneous safety and bound checks; violations are data, not errors."""
-    violations: list[Violation] = []
-    for state in states:
-        params = params_by_id[state.vehicle_id]
-        if not params.v_min <= state.speed <= params.v_max:
-            violations.append(
-                Violation(
-                    t,
-                    "speed_bound",
-                    (state.vehicle_id,),
-                    state.speed,
-                    f"speed {state.speed:.6f} outside [{params.v_min}, {params.v_max}]",
-                )
+    """Safety and bound checks at every sampled row; violations are data.
+
+    They come in time order.  Within one time: each vehicle in registration
+    order (speed, then acceleration, then rear-end), then the pairs of
+    conflicting movements that co-occupy the merging zone.
+    """
+    ids = samples.vehicle_ids
+    params = [params_by_id[vid] for vid in ids]
+    bounds = np.array(
+        [(p.v_min, p.v_max, p.u_min, p.u_max) for p in params], dtype=float
+    ).reshape(-1, 4)[samples.vehicle]
+    speed, accel, margin = samples.speed, samples.accel, samples.rear_margin
+    checks = (
+        (
+            "speed_bound",
+            ~((bounds[:, 0] <= speed) & (speed <= bounds[:, 1])),
+            speed,
+            lambda p, x: f"speed {x:.6f} outside [{p.v_min}, {p.v_max}]",
+        ),
+        (
+            "accel_bound",
+            ~((bounds[:, 2] <= accel) & (accel <= bounds[:, 3])),
+            accel,
+            lambda p, x: f"accel {x:.6f} outside [{p.u_min}, {p.u_max}]",
+        ),
+        (
+            "rear_end",
+            margin < 0.0,
+            margin,
+            lambda p, x: f"rear-end margin {x:.6f} m negative",
+        ),
+    )
+    found: list[tuple[tuple, Violation]] = []
+    for rank, (kind, bad, values, message) in enumerate(checks):
+        rows = np.flatnonzero(bad)
+        for row, t, x, i in zip(
+            rows.tolist(),
+            samples.t[rows].tolist(),
+            values[rows].tolist(),
+            samples.vehicle[rows].tolist(),
+        ):
+            found.append(
+                ((t, 0, row, rank), Violation(t, kind, (ids[i],), x, message(params[i], x)))
             )
-        if not params.u_min <= state.accel <= params.u_max:
-            violations.append(
-                Violation(
-                    t,
-                    "accel_bound",
-                    (state.vehicle_id,),
-                    state.accel,
-                    f"accel {state.accel:.6f} outside [{params.u_min}, {params.u_max}]",
-                )
-            )
-        if state.gap is not None:
-            margin = state.gap - params.safe_distance(state.speed)
-            if margin < 0.0:
-                violations.append(
-                    Violation(
-                        t,
-                        "rear_end",
-                        (state.vehicle_id,),
-                        margin,
-                        f"rear-end margin {margin:.6f} m negative",
-                    )
-                )
+
     # Lateral: conflicting movements may not co-occupy the merging zone.
-    in_zone = [s for s in states if s.phase is VehiclePhase.MERGING_ZONE]
-    for i, a in enumerate(in_zone):
-        entry_a = protocol.get(a.vehicle_id)
-        for b in in_zone[i + 1 :]:
-            entry_b = protocol.get(b.vehicle_id)
-            if conflicts(entry_a.movement, entry_b.movement):
-                violations.append(
-                    Violation(
-                        t,
-                        "lateral",
-                        (a.vehicle_id, b.vehicle_id),
-                        0.0,
-                        "conflicting movements co-occupy the merging zone",
+    # Rows of one time are adjacent, so the pairs at one time are the rows d
+    # apart, for d = 1, 2, ... until no two rows d apart share a time.
+    zone = np.flatnonzero(samples.phase == 1)
+    firsts, seconds = [], []
+    for d in range(1, len(zone)):
+        a, b = zone[:-d], zone[d:]
+        together = samples.t[a] == samples.t[b]
+        if not together.any():
+            break
+        firsts.append(a[together])
+        seconds.append(b[together])
+    if firsts:
+        a = np.concatenate(firsts)
+        b = np.concatenate(seconds)
+        pairs = list(zip(samples.vehicle[a].tolist(), samples.vehicle[b].tolist()))
+        movements = [protocol.get(vid).movement for vid in ids]
+        conflicting = {
+            (i, j): conflicts(movements[i], movements[j]) for i, j in dict.fromkeys(pairs)
+        }
+        for t, row_a, row_b, (i, j) in zip(samples.t[a].tolist(), a.tolist(), b.tolist(), pairs):
+            if conflicting[i, j]:
+                found.append(
+                    (
+                        (t, 1, row_a, row_b),
+                        Violation(
+                            t,
+                            "lateral",
+                            (ids[i], ids[j]),
+                            0.0,
+                            "conflicting movements co-occupy the merging zone",
+                        ),
                     )
                 )
-    return violations
+    found.sort(key=lambda item: item[0])
+    return [violation for _, violation in found]
 
 
 # ---------------------------------------------------------------------------
@@ -414,35 +501,15 @@ def run(scenario: Scenario) -> RunResult:
     protocol, plans = schedule(scenario)
     params_by_id = {a.vehicle_id: a.params for a in scenario.arrivals}
 
-    log: list[LogRow] = []
-    violations: list[Violation] = []
+    times = np.empty(0)
     if plans:
         t_start = min(a.time for a in scenario.arrivals)
         t_end = max(p.tf for p in plans.values())
         k0 = int(math.floor(t_start / scenario.dt + 1e-9))
         k1 = int(math.ceil(t_end / scenario.dt - 1e-9))
-        for k in range(k0, k1 + 1):
-            t = k * scenario.dt
-            states = snapshot(protocol, t, params_by_id)
-            violations.extend(monitor(states, protocol, params_by_id, t))
-            for state in states:
-                params = params_by_id[state.vehicle_id]
-                margin = (
-                    state.gap - params.safe_distance(state.speed)
-                    if state.gap is not None
-                    else None
-                )
-                log.append(
-                    LogRow(
-                        t=t,
-                        vehicle_id=state.vehicle_id,
-                        lane=state.lane,
-                        position=state.position,
-                        speed=state.speed,
-                        accel=state.accel,
-                        rear_margin=margin,
-                    )
-                )
+        times = np.arange(k0, k1 + 1) * scenario.dt
+    log = snapshot(protocol, times, params_by_id)
+    violations = monitor(log, protocol, params_by_id)
 
     integration_checks = {
         vid: integrate_dynamics(result.trajectory)
@@ -464,15 +531,17 @@ def _build_metrics(
     scenario: Scenario,
     protocol: CrossingProtocol,
     plans: dict[str, PlanResult],
-    log: list[LogRow],
+    log: Samples,
 ) -> MetricsReport:
     per_vehicle: dict[str, VehicleMetrics] = {}
     min_rear: dict[str, Optional[float]] = {vid: None for vid in plans}
-    for row in log:
-        if row.rear_margin is not None:
-            prev = min_rear[row.vehicle_id]
-            if prev is None or row.rear_margin < prev:
-                min_rear[row.vehicle_id] = row.rear_margin
+    led = np.flatnonzero(~np.isnan(log.rear_margin))
+    led = led[np.argsort(log.vehicle[led], kind="stable")]
+    vehicles, starts = np.unique(log.vehicle[led], return_index=True)
+    for i, run_rows in zip(vehicles.tolist(), np.split(led, starts[1:])):
+        # The first of equal minima in time order, as a scan keeps it.
+        margins = log.rear_margin[run_rows]
+        min_rear[log.vehicle_ids[i]] = margins[np.argmin(margins)].item()
 
     arrivals = {a.vehicle_id: a for a in scenario.arrivals}
     for vid, result in plans.items():

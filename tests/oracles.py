@@ -2,14 +2,16 @@
 
 Each oracle deliberately avoids the code path it checks: boundary solving is
 redone as a dense linear system, extrema and safety margins by dense
-sampling, energy by quadrature, arc lengths by numeric integration, and the
+sampling, energy by quadrature, arc lengths by numeric integration, the
 planner's minimum exit time by brute-force grid search over the library's
-feasibility predicate.
+feasibility predicate, and the run's sampled log and violations by the
+original per-step object loop.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,10 +20,14 @@ from cavcross import (
     CrossingProtocol,
     CubicTrajectory,
     IntersectionLayout,
+    LaneId,
     Movement,
     PlanRequest,
     ProtocolEntry,
     VehicleParams,
+    VehiclePhase,
+    Violation,
+    conflicts,
     feasible_tf,
     sample_zone_path,
 )
@@ -156,3 +162,180 @@ def make_entry(
     return ProtocolEntry(
         vehicle_id=vehicle_id, trajectory=traj, lane=lane, movement=movement
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-step sampling and monitoring: the simulation's original object loop,
+# kept as the reference for its columnar replacement.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class VehicleState:
+    vehicle_id: str
+    position: float
+    speed: float
+    accel: float
+    lane: LaneId
+    phase: VehiclePhase
+    gap: Optional[float]  # scaled distance to the nearest leader, if any
+
+
+@dataclass(frozen=True)
+class LogRow:
+    t: float
+    vehicle_id: str
+    lane: LaneId
+    position: float
+    speed: float
+    accel: float
+    rear_margin: Optional[float]
+
+
+def snapshot(
+    protocol: CrossingProtocol, t: float, params_by_id: dict[str, VehicleParams]
+) -> list[VehicleState]:
+    """Closed-form states of all active vehicles at time t."""
+    states: list[VehicleState] = []
+    active = protocol.active_entries(t)
+    for entry in active:
+        sample = entry.trajectory.eval(t)
+        window = protocol.layout.merging_window(entry.movement)
+        if sample.position < window.entry:
+            phase = VehiclePhase.APPROACH
+        elif sample.position < window.exit:
+            phase = VehiclePhase.MERGING_ZONE
+        else:
+            phase = VehiclePhase.EXIT
+        leader = _nearest_leader(protocol, entry, t, sample.position)
+        gap = None
+        if leader is not None:
+            params = params_by_id[entry.vehicle_id]
+            gap = params.reaction_gain * (
+                leader.trajectory.eval(t).position - sample.position
+            )
+        states.append(
+            VehicleState(
+                vehicle_id=entry.vehicle_id,
+                position=sample.position,
+                speed=sample.speed,
+                accel=sample.accel,
+                lane=entry.lane,
+                phase=phase,
+                gap=gap,
+            )
+        )
+    return states
+
+
+def _nearest_leader(
+    protocol: CrossingProtocol, entry: ProtocolEntry, t: float, position: float
+) -> Optional[ProtocolEntry]:
+    best: Optional[ProtocolEntry] = None
+    best_pos = math.inf
+    for other in protocol.active_entries(t):
+        if other.vehicle_id == entry.vehicle_id:
+            continue
+        if other.movement.origin != entry.movement.origin:
+            continue
+        if other.lane != entry.lane:
+            continue
+        pos = other.trajectory.eval(t).position
+        if pos >= position and pos < best_pos:
+            best, best_pos = other, pos
+    return best
+
+
+def monitor(
+    states: list[VehicleState],
+    protocol: CrossingProtocol,
+    params_by_id: dict[str, VehicleParams],
+    t: float,
+) -> list[Violation]:
+    """Instantaneous safety and bound checks; violations are data, not errors."""
+    violations: list[Violation] = []
+    for state in states:
+        params = params_by_id[state.vehicle_id]
+        if not params.v_min <= state.speed <= params.v_max:
+            violations.append(
+                Violation(
+                    t,
+                    "speed_bound",
+                    (state.vehicle_id,),
+                    state.speed,
+                    f"speed {state.speed:.6f} outside [{params.v_min}, {params.v_max}]",
+                )
+            )
+        if not params.u_min <= state.accel <= params.u_max:
+            violations.append(
+                Violation(
+                    t,
+                    "accel_bound",
+                    (state.vehicle_id,),
+                    state.accel,
+                    f"accel {state.accel:.6f} outside [{params.u_min}, {params.u_max}]",
+                )
+            )
+        if state.gap is not None:
+            margin = state.gap - params.safe_distance(state.speed)
+            if margin < 0.0:
+                violations.append(
+                    Violation(
+                        t,
+                        "rear_end",
+                        (state.vehicle_id,),
+                        margin,
+                        f"rear-end margin {margin:.6f} m negative",
+                    )
+                )
+    # Lateral: conflicting movements may not co-occupy the merging zone.
+    in_zone = [s for s in states if s.phase is VehiclePhase.MERGING_ZONE]
+    for i, a in enumerate(in_zone):
+        entry_a = protocol.get(a.vehicle_id)
+        for b in in_zone[i + 1 :]:
+            entry_b = protocol.get(b.vehicle_id)
+            if conflicts(entry_a.movement, entry_b.movement):
+                violations.append(
+                    Violation(
+                        t,
+                        "lateral",
+                        (a.vehicle_id, b.vehicle_id),
+                        0.0,
+                        "conflicting movements co-occupy the merging zone",
+                    )
+                )
+    return violations
+
+
+def per_step_log(
+    protocol: CrossingProtocol,
+    params_by_id: dict[str, VehicleParams],
+    times,
+) -> tuple[list[LogRow], list[Violation], list[VehicleState]]:
+    """The run's original sampling loop over `times`: log rows, violations
+    and the sampled states, all in time then registration order."""
+    log: list[LogRow] = []
+    violations: list[Violation] = []
+    all_states: list[VehicleState] = []
+    for t in times:
+        states = snapshot(protocol, t, params_by_id)
+        violations.extend(monitor(states, protocol, params_by_id, t))
+        all_states.extend(states)
+        for state in states:
+            params = params_by_id[state.vehicle_id]
+            margin = (
+                state.gap - params.safe_distance(state.speed)
+                if state.gap is not None
+                else None
+            )
+            log.append(
+                LogRow(
+                    t=t,
+                    vehicle_id=state.vehicle_id,
+                    lane=state.lane,
+                    position=state.position,
+                    speed=state.speed,
+                    accel=state.accel,
+                    rear_margin=margin,
+                )
+            )
+    return log, violations, all_states

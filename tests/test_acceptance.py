@@ -60,9 +60,10 @@ def test_criterion_1_reference_scenario_properties():
 
     assert result.violations == []
     # Rear-end margin non-negative at every sample.
-    for row in result.log:
-        if row.rear_margin is not None:
-            assert row.rear_margin >= 0.0, (row.vehicle_id, row.t)
+    log = result.log
+    for t, i, margin in zip(log.t.tolist(), log.vehicle.tolist(), log.rear_margin.tolist()):
+        if not math.isnan(margin):
+            assert margin >= 0.0, (log.vehicle_ids[i], t)
     # Conflicting merging-zone occupancies disjoint.
     entries = result.protocol.entries
     for i, a in enumerate(entries):
@@ -77,9 +78,9 @@ def test_criterion_1_reference_scenario_properties():
         report = result.plans[arrival.vehicle_id].trajectory.feasibility(arrival.params)
         assert 2.0 < report.min_speed and report.max_speed < 18.0
         assert -3.0 < report.min_accel and report.max_accel < 3.0
-    for row in result.log:
-        assert 2.0 < row.speed < 18.0
-        assert -3.0 < row.accel < 3.0
+    for speed, accel in zip(log.speed.tolist(), log.accel.tolist()):
+        assert 2.0 < speed < 18.0
+        assert -3.0 < accel < 3.0
     assert elapsed < 5.0, f"run took {elapsed:.2f}s"
     _passed(1, f"six-vehicle reference scenario, {elapsed:.2f}s")
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from cavcross import (
@@ -16,6 +17,7 @@ from cavcross import (
     VehiclePhase,
     compare_policies,
     conflicts,
+    generate_random_scenario,
     integrate_dynamics,
     load_scenario,
     monitor,
@@ -72,6 +74,17 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="finite"):
             make_scenario([("a", arrival_time, WE, 10.0)], **kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("vehicle_id", ""), ("vehicle_id", 5), ("movement", "W->E"), ("params", {})],
+        ids=["empty_id", "int_id", "string_movement", "dict_params"],
+    )
+    def test_arrival_fields_validated(self, field, value):
+        fields = dict(vehicle_id="a", time=0.0, movement=WE, v0=10.0, params=VehicleParams())
+        fields[field] = value
+        with pytest.raises(ValueError):
+            Arrival(**fields)
+
     def test_policy_string_coerced_or_rejected(self):
         assert make_scenario([], policy="fifo").policy is Policy.FIFO
         with pytest.raises(ValueError):
@@ -81,7 +94,7 @@ class TestScenarioValidation:
 class TestRun:
     def test_empty_scenario(self):
         result = run(make_scenario([]))
-        assert result.log == []
+        assert len(result.log) == 0
         assert result.violations == []
         assert result.metrics.aggregate.vehicle_count == 0
         assert result.metrics.aggregate.throughput_per_min == 0.0
@@ -108,18 +121,22 @@ class TestRun:
 
     def test_executed_positions_are_the_closed_form(self):
         result = run(make_scenario([("a", 0.0, WE, 10.0), ("b", 2.0, NS, 9.0)]))
-        for row in result.log:
-            traj = result.plans[row.vehicle_id].trajectory
-            sample = traj.eval(row.t)
-            assert abs(row.position - sample.position) <= 1e-9
-            assert abs(row.speed - sample.speed) <= 1e-9
-            assert abs(row.accel - sample.accel) <= 1e-9
+        log = result.log
+        for t, i, position, speed, accel in zip(
+            log.t.tolist(), log.vehicle.tolist(), log.position.tolist(),
+            log.speed.tolist(), log.accel.tolist(),
+        ):
+            traj = result.plans[log.vehicle_ids[i]].trajectory
+            sample = traj.eval(t)
+            assert abs(position - sample.position) <= 1e-9
+            assert abs(speed - sample.speed) <= 1e-9
+            assert abs(accel - sample.accel) <= 1e-9
 
     def test_log_columns_within_windows(self):
         result = run(make_scenario([("a", 0.0, WE, 10.0)]))
         t0 = result.plans["a"].trajectory.t0
         tf = result.plans["a"].trajectory.tf
-        times = [row.t for row in result.log]
+        times = result.log.t.tolist()
         assert min(times) >= t0 - 1e-9
         assert max(times) <= tf + result.scenario.dt
 
@@ -155,9 +172,9 @@ class TestReferenceScenario:
         assert result.violations == []
 
     def test_rear_margins_non_negative(self, result):
-        for row in result.log:
-            if row.rear_margin is not None:
-                assert row.rear_margin >= 0.0
+        for margin in result.log.rear_margin.tolist():
+            if not math.isnan(margin):
+                assert margin >= 0.0
 
     def test_bounds_never_active(self, result):
         agg = result.metrics.aggregate
@@ -180,6 +197,41 @@ class TestReferenceScenario:
             )
 
 
+def _row(samples, vehicle_id):
+    """The one row of `vehicle_id` in a single-instant snapshot."""
+    (row,) = np.flatnonzero(samples.vehicle == samples.vehicle_ids.index(vehicle_id))
+    return int(row)
+
+
+# Hand-built protocols, not planned, that break the rules: (id, movement,
+# entry speed, t0, tf) along the 275 m straight paths.
+HAND_BUILT = {
+    # Same lane, 0.5 s apart at 10 m/s.
+    "tailgating": [("lead", WE, 10.0, 0.0, 27.5), ("tail", WE, 10.0, 0.5, 28.0)],
+    # Conflicting movements through the zone together.
+    "lateral": [("we", WE, 10.0, 0.0, 27.5), ("ns", NS, 10.0, 0.2, 27.7)],
+    # Two vehicles abreast on one lane lead each other (equal positions
+    # count), and a third follows them.
+    "abreast": [
+        ("left", WE, 10.0, 0.0, 27.5),
+        ("right", WE, 10.0, 0.0, 27.5),
+        ("behind", WE, 10.0, 3.0, 30.5),
+    ],
+    # 275 m in 10 s from 10 m/s: above v_max and u_max.
+    "overspeed": [("fast", WE, 10.0, 0.0, 10.0)],
+}
+
+
+def hand_built_protocol(layout, name):
+    protocol = CrossingProtocol(layout)
+    for vid, movement, v0, t0, tf in HAND_BUILT[name]:
+        traj = solve_boundary(v0, 275.0, t0, tf)
+        protocol.register(
+            oracles.make_entry(vid, traj, movement, layout.allowed_lanes(movement)[0])
+        )
+    return protocol
+
+
 class TestMonitor:
     def test_margin_arithmetic(self, layout, params):
         # Gap 20 m at speed 10 with headway 1.0 and standstill 1.5:
@@ -191,12 +243,13 @@ class TestMonitor:
         follow = solve_boundary(10.0, 275.0, 2.0, 29.5)
         protocol.register(oracles.make_entry("follow", follow, WE, lane))
         params_by_id = {"lead": params, "follow": params}
-        states = snapshot(protocol, 6.0, params_by_id)
-        follow_state = next(s for s in states if s.vehicle_id == "follow")
-        assert follow_state.gap == pytest.approx(20.0, abs=1e-9)
-        margin = follow_state.gap - params.safe_distance(follow_state.speed)
+        samples = snapshot(protocol, [6.0], params_by_id)
+        row = _row(samples, "follow")
+        assert samples.gap[row] == pytest.approx(20.0, abs=1e-9)
+        margin = samples.gap[row] - params.safe_distance(samples.speed[row])
         assert margin == pytest.approx(8.5, abs=1e-9)
-        assert monitor(states, protocol, params_by_id, 6.0) == []
+        assert samples.rear_margin[row] == margin
+        assert monitor(samples, protocol, params_by_id) == []
 
     def test_single_vehicle_never_violates(self, layout, params):
         protocol = CrossingProtocol(layout)
@@ -206,43 +259,32 @@ class TestMonitor:
         )
         params_by_id = {"solo": params}
         for t in (0.0, 10.0, 27.5):
-            states = snapshot(protocol, t, params_by_id)
-            assert monitor(states, protocol, params_by_id, t) == []
+            samples = snapshot(protocol, [t], params_by_id)
+            assert monitor(samples, protocol, params_by_id) == []
 
     def test_forced_rear_end_violation_detected(self, layout, params):
-        # Hand-built tailgating pair: same lane, 0.5 s apart at 10 m/s.
-        protocol = CrossingProtocol(layout)
-        lane = layout.allowed_lanes(WE)[0]
-        protocol.register(
-            oracles.make_entry("lead", solve_boundary(10.0, 275.0, 0.0, 27.5), WE, lane)
-        )
-        protocol.register(
-            oracles.make_entry("tail", solve_boundary(10.0, 275.0, 0.5, 28.0), WE, lane)
-        )
+        protocol = hand_built_protocol(layout, "tailgating")
         params_by_id = {"lead": params, "tail": params}
-        states = snapshot(protocol, 5.0, params_by_id)
-        found = monitor(states, protocol, params_by_id, 5.0)
+        samples = snapshot(protocol, [5.0], params_by_id)
+        found = monitor(samples, protocol, params_by_id)
         assert any(v.kind == "rear_end" and "tail" in v.vehicle_ids for v in found)
 
     def test_forced_lateral_violation_detected(self, layout, params):
-        # Conflicting movements pushed through the zone simultaneously.
-        protocol = CrossingProtocol(layout)
-        lane_we = layout.allowed_lanes(WE)[0]
-        lane_ns = layout.allowed_lanes(NS)[0]
-        protocol.register(
-            oracles.make_entry("we", solve_boundary(10.0, 275.0, 0.0, 27.5), WE, lane_we)
-        )
-        protocol.register(
-            oracles.make_entry("ns", solve_boundary(10.0, 275.0, 0.2, 27.7), NS, lane_ns)
-        )
+        protocol = hand_built_protocol(layout, "lateral")
         params_by_id = {"we": params, "ns": params}
         t = 13.5  # both inside the 12.5..15.0 occupancy band
-        states = snapshot(protocol, t, params_by_id)
-        by_id = {s.vehicle_id: s for s in states}
-        assert by_id["we"].phase is VehiclePhase.MERGING_ZONE
-        assert by_id["ns"].phase is VehiclePhase.MERGING_ZONE
-        found = monitor(states, protocol, params_by_id, t)
+        samples = snapshot(protocol, [t], params_by_id)
+        assert samples.phase_of(_row(samples, "we")) is VehiclePhase.MERGING_ZONE
+        assert samples.phase_of(_row(samples, "ns")) is VehiclePhase.MERGING_ZONE
+        found = monitor(samples, protocol, params_by_id)
         assert any(v.kind == "lateral" for v in found)
+
+    def test_forced_bound_violations_detected(self, layout, params):
+        protocol = hand_built_protocol(layout, "overspeed")
+        params_by_id = {"fast": params}
+        samples = snapshot(protocol, np.arange(1001) * 0.01, params_by_id)
+        kinds = {v.kind for v in monitor(samples, protocol, params_by_id)}
+        assert kinds == {"speed_bound", "accel_bound"}
 
     def test_phases(self, layout, params):
         protocol = CrossingProtocol(layout)
@@ -251,10 +293,97 @@ class TestMonitor:
             oracles.make_entry("a", solve_boundary(10.0, 275.0, 0.0, 27.5), WE, lane)
         )
         params_by_id = {"a": params}
-        assert snapshot(protocol, 5.0, params_by_id)[0].phase is VehiclePhase.APPROACH
-        assert snapshot(protocol, 13.0, params_by_id)[0].phase is VehiclePhase.MERGING_ZONE
-        assert snapshot(protocol, 20.0, params_by_id)[0].phase is VehiclePhase.EXIT
-        assert snapshot(protocol, 30.0, params_by_id) == []
+        assert snapshot(protocol, [5.0], params_by_id).phase_of(0) is VehiclePhase.APPROACH
+        assert snapshot(protocol, [13.0], params_by_id).phase_of(0) is VehiclePhase.MERGING_ZONE
+        assert snapshot(protocol, [20.0], params_by_id).phase_of(0) is VehiclePhase.EXIT
+        assert len(snapshot(protocol, [30.0], params_by_id)) == 0
+
+
+def assert_bit_equal(actual, expected):
+    """Equal bit for bit, NaN where the other is NaN."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert np.array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+def _optional(values):
+    return [math.nan if v is None else v for v in values]
+
+
+class TestColumnarMatchesPerStepOracle:
+    """`snapshot` and `monitor` against the original per-step object loop
+    (`oracles.per_step_log`) on the same grid."""
+
+    def check(self, protocol, params_by_id, times):
+        rows, violations, states = oracles.per_step_log(
+            protocol, params_by_id, times.tolist()
+        )
+        samples = snapshot(protocol, times, params_by_id)
+        assert len(samples) == len(rows)
+        assert [samples.vehicle_ids[i] for i in samples.vehicle] == [r.vehicle_id for r in rows]
+        assert [samples.lanes[i] for i in samples.vehicle] == [r.lane for r in rows]
+        assert [samples.phase_of(i) for i in range(len(samples))] == [s.phase for s in states]
+        for column in ("t", "position", "speed", "accel"):
+            assert_bit_equal(getattr(samples, column), [getattr(r, column) for r in rows])
+        assert_bit_equal(samples.gap, _optional(s.gap for s in states))
+        assert_bit_equal(samples.rear_margin, _optional(r.rear_margin for r in rows))
+        found = monitor(samples, protocol, params_by_id)
+        assert found == violations
+        for v in found:
+            assert type(v.time) is float and type(v.value) is float
+        return samples, found
+
+    def check_run(self, scenario):
+        """The run's own log and violations, on the run's grid."""
+        result = run(scenario)
+        t_start = min(a.time for a in scenario.arrivals)
+        t_end = max(p.tf for p in result.plans.values())
+        k0 = int(math.floor(t_start / scenario.dt + 1e-9))
+        k1 = int(math.ceil(t_end / scenario.dt - 1e-9))
+        params_by_id = {a.vehicle_id: a.params for a in scenario.arrivals}
+        times = np.arange(k0, k1 + 1) * scenario.dt
+        samples, found = self.check(result.protocol, params_by_id, times)
+        assert result.log == samples
+        assert result.violations == found
+        return result, times
+
+    def test_reference_scenario(self):
+        from conftest import REFERENCE_SCENARIO
+
+        result, _ = self.check_run(load_scenario(REFERENCE_SCENARIO))
+        assert np.count_nonzero(~np.isnan(result.log.rear_margin)) > 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_generated(self, seed):
+        self.check_run(generate_random_scenario(seed=seed, n_vehicles=8, mean_gap=2.0))
+
+    def test_two_lanes_per_approach(self):
+        layout = IntersectionLayout(lanes_per_approach=2)
+        result, _ = self.check_run(
+            generate_random_scenario(seed=6, n_vehicles=10, layout=layout, mean_gap=2.0)
+        )
+        assert len({e.lane for e in result.protocol}) > 4
+
+    def test_gap_in_traffic(self):
+        burst = generate_random_scenario(seed=3, n_vehicles=4)
+        later = tuple(
+            dataclasses.replace(a, vehicle_id=f"{a.vehicle_id}b", time=a.time + 100.0)
+            for a in burst.arrivals
+        )
+        result, times = self.check_run(
+            dataclasses.replace(burst, arrivals=burst.arrivals + later)
+        )
+        assert len(np.unique(result.log.t)) < len(times)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built(self, name, layout, params):
+        protocol = hand_built_protocol(layout, name)
+        params_by_id = {vid: params for vid, *_ in HAND_BUILT[name]}
+        _, found = self.check(protocol, params_by_id, np.arange(2901) * 0.01)
+        assert found
 
 
 class TestIntegrationCrossCheck:
