@@ -119,11 +119,10 @@ def trajectory_csv(result: RunResult, cells: Optional[_Cells] = None) -> str:
     )
 
 
-def _wide_series_csv(result: RunResult, column: str, cells: Optional[_Cells] = None) -> str:
+def _wide_series_csv(result: RunResult, column: str, cells: _Cells) -> str:
     """One row per sample time, one column per vehicle in registration order;
     a cell is empty where the vehicle has no value at that time."""
     log = result.log
-    cells = _format_cells(log) if cells is None else cells
     grid = np.full((len(cells.times), len(log.vehicle_ids)), "", dtype=object)
     grid[cells.time_index, log.vehicle] = cells.columns[column]
     return _join_rows(

@@ -133,9 +133,6 @@ class Samples:
             )
         )
 
-    def phase_of(self, row: int) -> VehiclePhase:
-        return self.PHASES[self.phase[row]]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -375,7 +372,7 @@ def monitor(
     # Lateral: conflicting movements may not co-occupy the merging zone.
     # Rows of one time are adjacent, so the pairs at one time are the rows d
     # apart, for d = 1, 2, ... until no two rows d apart share a time.
-    zone = np.flatnonzero(samples.phase == 1)
+    zone = np.flatnonzero(samples.phase == Samples.PHASES.index(VehiclePhase.MERGING_ZONE))
     firsts, seconds = [], []
     for d in range(1, len(zone)):
         a, b = zone[:-d], zone[d:]

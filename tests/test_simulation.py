@@ -11,6 +11,7 @@ from cavcross import (
     IntersectionLayout,
     Movement,
     Policy,
+    Samples,
     Scenario,
     SimulationError,
     VehicleParams,
@@ -274,8 +275,8 @@ class TestMonitor:
         params_by_id = {"we": params, "ns": params}
         t = 13.5  # both inside the 12.5..15.0 occupancy band
         samples = snapshot(protocol, [t], params_by_id)
-        assert samples.phase_of(_row(samples, "we")) is VehiclePhase.MERGING_ZONE
-        assert samples.phase_of(_row(samples, "ns")) is VehiclePhase.MERGING_ZONE
+        assert Samples.PHASES[samples.phase[_row(samples, "we")]] is VehiclePhase.MERGING_ZONE
+        assert Samples.PHASES[samples.phase[_row(samples, "ns")]] is VehiclePhase.MERGING_ZONE
         found = monitor(samples, protocol, params_by_id)
         assert any(v.kind == "lateral" for v in found)
 
@@ -293,9 +294,13 @@ class TestMonitor:
             oracles.make_entry("a", solve_boundary(10.0, 275.0, 0.0, 27.5), WE, lane)
         )
         params_by_id = {"a": params}
-        assert snapshot(protocol, [5.0], params_by_id).phase_of(0) is VehiclePhase.APPROACH
-        assert snapshot(protocol, [13.0], params_by_id).phase_of(0) is VehiclePhase.MERGING_ZONE
-        assert snapshot(protocol, [20.0], params_by_id).phase_of(0) is VehiclePhase.EXIT
+
+        def phase_at(t):
+            return Samples.PHASES[snapshot(protocol, [t], params_by_id).phase[0]]
+
+        assert phase_at(5.0) is VehiclePhase.APPROACH
+        assert phase_at(13.0) is VehiclePhase.MERGING_ZONE
+        assert phase_at(20.0) is VehiclePhase.EXIT
         assert len(snapshot(protocol, [30.0], params_by_id)) == 0
 
 
@@ -325,7 +330,7 @@ class TestColumnarMatchesPerStepOracle:
         assert len(samples) == len(rows)
         assert [samples.vehicle_ids[i] for i in samples.vehicle] == [r.vehicle_id for r in rows]
         assert [samples.lanes[i] for i in samples.vehicle] == [r.lane for r in rows]
-        assert [samples.phase_of(i) for i in range(len(samples))] == [s.phase for s in states]
+        assert [Samples.PHASES[p] for p in samples.phase] == [s.phase for s in states]
         for column in ("t", "position", "speed", "accel"):
             assert_bit_equal(getattr(samples, column), [getattr(r, column) for r in rows])
         assert_bit_equal(samples.gap, _optional(s.gap for s in states))
