@@ -88,35 +88,27 @@ def _format_cells(log: Samples) -> _Cells:
 
 
 def _csv_row(fields: list) -> str:
+    """Fields as the csv module writes them, without the line terminator."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
-
-
-def _join_rows(header: list, rows: Iterable[str]) -> str:
-    body = "\n".join(rows)
-    return _csv_row(header) + (body + "\n" if body else "")
+    return buf.getvalue()[:-1]
 
 
 def trajectory_csv(result: RunResult, cells: Optional[_Cells] = None) -> str:
     log = result.log
     cells = _format_cells(log) if cells is None else cells
-    # Vehicle ids are quoted as the csv module quotes them.
-    labels = [_csv_row([vid, lane])[:-1] for vid, lane in zip(log.vehicle_ids, log.lanes)]
-    return _join_rows(
-        TRAJECTORY_CSV_HEADER,
-        map(
-            ",".join,
-            zip(
-                [cells.times[i] for i in cells.time_index.tolist()],
-                [labels[i] for i in log.vehicle.tolist()],
-                cells.columns["position"],
-                cells.columns["speed"],
-                cells.columns["accel"],
-                cells.columns["rear_margin"],
-            ),
-        ),
-    )
+    # Every field and separator is one list item, joined once, so no string
+    # per row is built: a row is "\n<t>" ",<id>,<lane>," p "," v "," a "," m.
+    parts = [","] * (9 * len(log) + 2)
+    parts[0] = _csv_row(TRAJECTORY_CSV_HEADER)
+    starts = ["\n" + t for t in cells.times]
+    parts[1:-1:9] = [starts[i] for i in cells.time_index.tolist()]
+    labels = [_csv_row(["", vid, lane, ""]) for vid, lane in zip(log.vehicle_ids, log.lanes)]
+    parts[2:-1:9] = [labels[i] for i in log.vehicle.tolist()]
+    for offset, column in enumerate(("position", "speed", "accel", "rear_margin")):
+        parts[3 + 2 * offset : -1 : 9] = cells.columns[column]
+    parts[-1] = "\n"
+    return "".join(parts)
 
 
 def _wide_series_csv(result: RunResult, column: str, cells: _Cells) -> str:
@@ -125,10 +117,10 @@ def _wide_series_csv(result: RunResult, column: str, cells: _Cells) -> str:
     log = result.log
     grid = np.full((len(cells.times), len(log.vehicle_ids)), "", dtype=object)
     grid[cells.time_index, log.vehicle] = cells.columns[column]
-    return _join_rows(
-        ["t", *log.vehicle_ids],
-        (t + "," + ",".join(row) for t, row in zip(cells.times, grid.tolist())),
-    )
+    lines = [_csv_row(["t", *log.vehicle_ids])]
+    lines += (t + "," + ",".join(row) for t, row in zip(cells.times, grid.tolist()))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def metrics_json(result: RunResult) -> str:
