@@ -55,7 +55,9 @@ def _atomic_write(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            # In slices, so that no encoded copy of the whole text is made.
+            for start in range(0, len(text), 1 << 16):
+                handle.write(text[start : start + (1 << 16)])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -146,14 +148,16 @@ def metrics_json(result: RunResult) -> str:
 
 
 def write_outputs(result: RunResult, out_dir: Path) -> None:
-    cells = _format_cells(result.log)
-    _atomic_write(out_dir / "trajectory.csv", trajectory_csv(result, cells))
     _atomic_write(out_dir / "metrics.json", metrics_json(result))
     _atomic_write(
         out_dir / "protocol.json",
         json.dumps({"entries": result.protocol.to_records()}, indent=2, sort_keys=True)
         + "\n",
     )
+    # The formatted cells are the largest objects of a run; the JSON files
+    # are written before they exist so that the two peaks do not add up.
+    cells = _format_cells(result.log)
+    _atomic_write(out_dir / "trajectory.csv", trajectory_csv(result, cells))
     for column in ("position", "speed", "accel", "rear_margin"):
         _atomic_write(
             out_dir / "plots" / f"{column}.csv", _wide_series_csv(result, column, cells)

@@ -253,46 +253,44 @@ def snapshot(
     """
     times = np.asarray(times)
     entries = protocol.entries
-    trajs = [e.trajectory for e in entries]
-    laws = np.array(
-        [(tr.c3, tr.c2, tr.c1, tr.c0, tr.t0, tr.duration) for tr in trajs], dtype=float
-    ).reshape(-1, 6)
-    params = [params_by_id[e.vehicle_id] for e in entries]
-    gains = np.array(
-        [(p.reaction_gain, p.standstill_gap, p.headway) for p in params], dtype=float
-    ).reshape(-1, 3)
-    windows = np.array(
-        [protocol.layout.merging_window(e.movement) for e in entries], dtype=float
-    ).reshape(-1, 2)
-    # Rear-end followers share an approach and a lane.
-    groups: dict[tuple, int] = {}
-    group_of = np.array(
-        [groups.setdefault((e.movement.origin, e.lane), len(groups)) for e in entries],
-        dtype=np.intp,
-    )
-
-    # Each vehicle's rows are one run of grid steps; lay them out vehicle by
-    # vehicle, then reorder by step (stable, so registration order holds).
-    lo = np.searchsorted(times, [tr.t0 for tr in trajs], side="left")
-    hi = np.searchsorted(times, [tr.tf for tr in trajs], side="right")
+    # Each vehicle's rows are one run of grid steps.  Rows are numbered by
+    # step, then registration order (a stable sort of the vehicle-by-vehicle
+    # layout); `row_of` maps the vehicle-by-vehicle layout to that order.
+    lo = np.searchsorted(times, [e.t0 for e in entries], side="left")
+    hi = np.searchsorted(times, [e.tf for e in entries], side="right")
     counts = np.maximum(hi - lo, 0)
     vehicle = np.repeat(np.arange(len(entries)), counts)
     step = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     order = np.argsort(step, kind="stable")
     step, vehicle = step[order], vehicle[order]
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(len(order))
 
-    c3, c2, c1, c0, t0, duration = laws[vehicle].T
-    t = times[step]
-    tau = np.minimum(np.maximum(t - t0, 0.0), duration)
-    position = ((c3 * tau + c2) * tau + c1) * tau + c0
-    speed = (3.0 * c3 * tau + 2.0 * c2) * tau + c1
-    accel = 6.0 * c3 * tau + 2.0 * c2
-    zone = windows[vehicle]
-    phase = (position >= zone[:, 0]).astype(np.int8) + (position >= zone[:, 1])
+    position = np.empty(len(order))
+    speed = np.empty(len(order))
+    accel = np.empty(len(order))
+    phase = np.empty(len(order), dtype=np.int8)
+    first_row = 0
+    for entry, first, count in zip(entries, lo.tolist(), counts.tolist()):
+        rows = row_of[first_row : first_row + count]
+        first_row += count
+        tr = entry.trajectory
+        tau = np.minimum(np.maximum(times[first : first + count] - tr.t0, 0.0), tr.duration)
+        p = ((tr.c3 * tau + tr.c2) * tau + tr.c1) * tau + tr.c0
+        position[rows] = p
+        speed[rows] = (3.0 * tr.c3 * tau + 2.0 * tr.c2) * tau + tr.c1
+        accel[rows] = 6.0 * tr.c3 * tau + 2.0 * tr.c2
+        window = protocol.layout.merging_window(entry.movement)
+        phase[rows] = (p >= window.entry).astype(np.int8) + (p >= window.exit)
 
-    # The leader is the nearest other vehicle of the group at or ahead of
-    # this one: the next in position order, or an equal-position one before.
-    group = group_of[vehicle]
+    # Rear-end followers share an approach and a lane.  The leader is the
+    # nearest other vehicle of that group at or ahead of this one: the next
+    # in position order, or an equal-position one before it.
+    groups: dict[tuple, int] = {}
+    group = np.array(
+        [groups.setdefault((e.movement.origin, e.lane), len(groups)) for e in entries],
+        dtype=np.intp,
+    )[vehicle]
     by_pos = np.lexsort((position, group, step))
     ranked = position[by_pos]
     same = (step[by_pos][1:] == step[by_pos][:-1]) & (group[by_pos][1:] == group[by_pos][:-1])
@@ -303,12 +301,15 @@ def snapshot(
     leader_position = np.empty_like(lead)
     leader_position[by_pos] = lead
 
-    gain, standstill_gap, headway = gains[vehicle].T
+    params = [params_by_id[e.vehicle_id] for e in entries]
+    gain, standstill_gap, headway = np.array(
+        [(p.reaction_gain, p.standstill_gap, p.headway) for p in params], dtype=float
+    ).reshape(-1, 3)[vehicle].T
     gap = gain * (leader_position - position)
     return Samples(
         vehicle_ids=tuple(e.vehicle_id for e in entries),
         lanes=tuple(e.lane for e in entries),
-        t=t,
+        t=times[step],
         vehicle=vehicle,
         position=position,
         speed=speed,
