@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -65,28 +65,24 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-class _Cells(NamedTuple):
+class _Cells:
     """A run's sampled values, each formatted once with `repr`."""
 
-    times: list[str]  # each distinct sample time, ascending
-    time_index: np.ndarray  # per row: index into `times`
-    columns: dict[str, list[str]]  # per row; "" where there is no value
-
-
-def _format_cells(log: Samples) -> _Cells:
-    # Python floats: under numpy 2 the repr of an np.float64 names the type.
-    new_time = np.ones(len(log.t), dtype=bool)
-    new_time[1:] = log.t[1:] != log.t[:-1]
-    columns = {
-        name: list(map(repr, getattr(log, name).tolist()))
-        for name in ("position", "speed", "accel")
-    }
-    columns["rear_margin"] = [
-        "" if math.isnan(m) else repr(m) for m in log.rear_margin.tolist()
-    ]
-    return _Cells(
-        list(map(repr, log.t[new_time].tolist())), np.cumsum(new_time) - 1, columns
-    )
+    def __init__(self, log: Samples):
+        # Python floats: under numpy 2 the repr of an np.float64 names the type.
+        new_time = np.ones(len(log.t), dtype=bool)
+        new_time[1:] = log.t[1:] != log.t[:-1]
+        # Each distinct sample time, ascending, and per row its index here.
+        self.times = list(map(repr, log.t[new_time].tolist()))
+        self.time_index = np.cumsum(new_time) - 1
+        # Per row; "" where there is no value.
+        self.columns = {
+            name: list(map(repr, getattr(log, name).tolist()))
+            for name in ("position", "speed", "accel")
+        }
+        self.columns["rear_margin"] = [
+            "" if math.isnan(m) else repr(m) for m in log.rear_margin.tolist()
+        ]
 
 
 def _csv_row(fields: list) -> str:
@@ -98,7 +94,7 @@ def _csv_row(fields: list) -> str:
 
 def trajectory_csv(result: RunResult, cells: Optional[_Cells] = None) -> str:
     log = result.log
-    cells = _format_cells(log) if cells is None else cells
+    cells = _Cells(log) if cells is None else cells
     # Every field and separator is one list item, joined once, so no string
     # per row is built: a row is "\n<t>" ",<id>,<lane>," p "," v "," a "," m.
     parts = [","] * (9 * len(log) + 2)
@@ -156,7 +152,7 @@ def write_outputs(result: RunResult, out_dir: Path) -> None:
     )
     # The formatted cells are the largest objects of a run; the JSON files
     # are written before they exist so that the two peaks do not add up.
-    cells = _format_cells(result.log)
+    cells = _Cells(result.log)
     _atomic_write(out_dir / "trajectory.csv", trajectory_csv(result, cells))
     for column in ("position", "speed", "accel", "rear_margin"):
         _atomic_write(
