@@ -536,9 +536,10 @@ def _build_metrics(
     led = np.flatnonzero(~np.isnan(log.rear_margin))
     led = led[np.argsort(log.vehicle[led], kind="stable")]
     vehicles, starts = np.unique(log.vehicle[led], return_index=True)
-    for i, run_rows in zip(vehicles.tolist(), np.split(led, starts[1:])):
-        # The first of equal minima in time order, as a scan keeps it.
-        margins = log.rear_margin[run_rows]
+    for i, rows in zip(vehicles.tolist(), np.split(led, starts[1:])):
+        # argmin takes the earliest of equal minima, so of 0.0 and -0.0 the
+        # one sampled first is reported.
+        margins = log.rear_margin[rows]
         min_rear[log.vehicle_ids[i]] = margins[np.argmin(margins)].item()
 
     arrivals = {a.vehicle_id: a for a in scenario.arrivals}

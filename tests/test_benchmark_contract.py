@@ -17,7 +17,7 @@ import sys
 from cavcross import Policy, cli, generate_random_scenario, save_scenario
 from conftest import REFERENCE_SCENARIO, REPO_ROOT
 
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+sys.path.append(str(REPO_ROOT / "benchmarks"))
 import tracing  # noqa: E402
 
 # Wrap points whose names no longer exist or are no longer called; the
