@@ -5,7 +5,8 @@ redone as a dense linear system, extrema and safety margins by dense
 sampling, energy by quadrature, arc lengths by numeric integration, the
 planner's minimum exit time by brute-force grid search over the library's
 feasibility predicate, and the run's sampled log and violations by the
-original per-step object loop.
+original per-step object loop, and the RK4 cross-check by its original
+scalar step loop.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from cavcross import (
     feasible_tf,
     sample_zone_path,
 )
+from cavcross.simulation import IntegrationCheck
 
 
 def solve_cubic_linear_system(v0: float, s_total: float, T: float) -> np.ndarray:
@@ -339,3 +341,38 @@ def per_step_log(
                 )
             )
     return log, violations, all_states
+
+
+def integrate_dynamics_loop(
+    traj: CubicTrajectory, dt: float = 0.01
+) -> IntegrationCheck:
+    """The original scalar RK4 loop of `simulation.integrate_dynamics`.
+
+    Integrates dp/dt = v, dv/dt = u(t) with the trajectory's own control
+    input and reports the worst deviation from the closed form.
+    """
+
+    def control(t: float) -> float:
+        tau = min(max(t - traj.t0, 0.0), traj.duration)
+        return 6.0 * traj.c3 * tau + 2.0 * traj.c2
+
+    t, p, v = traj.t0, 0.0, traj.eval(traj.t0).speed
+    max_dp = 0.0
+    max_dv = 0.0
+    steps = int(math.ceil(traj.duration / dt))
+    for k in range(steps):
+        h = min(dt, traj.tf - t)
+        if h <= 0:
+            break
+        # RK4 on state (p, v); the control depends only on time.
+        k1p, k1v = v, control(t)
+        k2p, k2v = v + 0.5 * h * k1v, control(t + 0.5 * h)
+        k3p, k3v = v + 0.5 * h * k2v, control(t + 0.5 * h)
+        k4p, k4v = v + h * k3v, control(t + h)
+        p += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        t = min(traj.tf, t + h)
+        ref = traj.eval(t)
+        max_dp = max(max_dp, abs(p - ref.position))
+        max_dv = max(max_dv, abs(v - ref.speed))
+    return IntegrationCheck(max_dp, max_dv)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cavcross import (
     Arrival,
@@ -389,6 +391,66 @@ class TestColumnarMatchesPerStepOracle:
         params_by_id = {vid: params for vid, *_ in HAND_BUILT[name]}
         _, found = self.check(protocol, params_by_id, np.arange(2901) * 0.01)
         assert found
+
+
+RK4_STEPS = [0.003, 0.01, 0.05]
+
+
+def assert_same_check(traj, dt):
+    """`integrate_dynamics` equals the original scalar loop, bit for bit."""
+    check = integrate_dynamics(traj, dt)
+    assert check == oracles.integrate_dynamics_loop(traj, dt)
+    assert type(check.max_position_error) is float
+    assert type(check.max_speed_error) is float
+
+
+class TestIntegrationMatchesLoop:
+    """The array RK4 cross-check against `oracles.integrate_dynamics_loop`."""
+
+    @pytest.mark.parametrize("dt", RK4_STEPS)
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_reference_plans(self, policy, dt):
+        from conftest import REFERENCE_SCENARIO
+
+        scenario = dataclasses.replace(load_scenario(REFERENCE_SCENARIO), policy=policy)
+        _, plans = schedule(scenario)
+        assert len(plans) == 6
+        for result in plans.values():
+            assert_same_check(result.trajectory, dt)
+
+    def test_generated_plans(self):
+        _, plans = schedule(generate_random_scenario(seed=1, n_vehicles=40, mean_gap=2.0))
+        assert len(plans) == 40
+        for result in plans.values():
+            assert_same_check(result.trajectory, 0.01)
+
+    @given(
+        v0=st.floats(2.0, 18.0),
+        s_total=st.floats(20.0, 400.0),
+        t0=st.floats(0.0, 3600.0),
+        duration=st.floats(0.5, 40.0),
+        dt=st.sampled_from(RK4_STEPS),
+    )
+    def test_drawn_boundary_cubics(self, v0, s_total, t0, duration, dt):
+        assert_same_check(solve_boundary(v0, s_total, t0, t0 + duration), dt)
+
+    @pytest.mark.parametrize(
+        "t0, tf, dt",
+        [
+            (0.0, 10.0, 0.25),  # every step is a full step, no tail
+            (0.0, 25.0, 0.01),  # 25 / 0.01 rounds above 2500
+            (12.3, 37.3, 0.05),
+            (3.0, 3.004, 0.01),  # shorter than one step
+        ],
+    )
+    def test_durations_on_and_off_the_step(self, t0, tf, dt):
+        assert_same_check(solve_boundary(10.0, 10.0 * (tf - t0), t0, tf), dt)
+
+    def test_non_monotone_cubic(self):
+        traj = solve_boundary(15.0, 50.0, 4.0, 24.0)
+        assert not traj.is_monotone
+        for dt in RK4_STEPS:
+            assert_same_check(traj, dt)
 
 
 class TestIntegrationCrossCheck:
