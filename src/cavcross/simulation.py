@@ -6,9 +6,11 @@ trajectories exactly.  A run samples those closed forms on the grid
 t = k*dt in one columnar pass (`snapshot`, numpy arrays with one row per
 grid time and active vehicle, no object per sample) and checks the samples
 for safety and bound violations (`monitor`), so two runs of one scenario
-are bit-identical.  A classical fixed-step integration of the vehicle
+are bit-identical.  A classical fixed-step RK4 integration of the vehicle
 dynamics under the same control input is kept as an independent
-cross-check of the closed forms.
+cross-check of the closed forms (`integrate_dynamics`, one call per
+vehicle); as the control depends only on time, it takes all steps of a
+vehicle in array passes, with the results of a scalar step loop.
 """
 
 from __future__ import annotations
@@ -418,33 +420,51 @@ def integrate_dynamics(
     """Fixed-step 4th-order Runge-Kutta re-integration of the vehicle motion.
 
     Integrates dp/dt = v, dv/dt = u(t) with the trajectory's own control
-    input and reports the worst deviation from the closed form.
+    input and reports the worst deviation from the closed form.  Steps are
+    h = min(dt, tf - t), then t = min(tf, t + h).  The control depends only
+    on time, so each RK4 stage is one array pass over all steps and the
+    states are running sums (`np.add.accumulate` adds in sequence): the
+    result is bit for bit that of a scalar step loop.
     """
+    t0, tf, duration = traj.t0, traj.tf, traj.duration
 
-    def control(t: float) -> float:
-        tau = min(max(t - traj.t0, 0.0), traj.duration)
+    def control(t):
+        tau = np.minimum(np.maximum(t - t0, 0.0), duration)
         return 6.0 * traj.c3 * tau + 2.0 * traj.c2
 
-    t, p, v = traj.t0, 0.0, traj.eval(traj.t0).speed
-    max_dp = 0.0
-    max_dv = 0.0
-    steps = int(math.ceil(traj.duration / dt))
-    for k in range(steps):
-        h = min(dt, traj.tf - t)
+    # Leading steps of h = dt as a running sum; the scalar loop finishes the
+    # tail (usually one step) from the first time that is not one.
+    steps = int(math.ceil(duration / dt))
+    grid = np.add.accumulate(np.r_[t0, np.full(max(steps, 0), dt)])
+    full = (dt <= tf - grid[:-1]) & (grid[:-1] + dt <= tf)
+    m = int(np.argmin(np.append(full, False)))
+    times, sizes = [float(grid[m])], []
+    for _ in range(m, steps):
+        h = min(dt, tf - times[-1])
         if h <= 0:
             break
-        # RK4 on state (p, v); the control depends only on time.
-        k1p, k1v = v, control(t)
-        k2p, k2v = v + 0.5 * h * k1v, control(t + 0.5 * h)
-        k3p, k3v = v + 0.5 * h * k2v, control(t + 0.5 * h)
-        k4p, k4v = v + h * k3v, control(t + h)
-        p += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        t = min(traj.tf, t + h)
-        ref = traj.eval(t)
-        max_dp = max(max_dp, abs(p - ref.position))
-        max_dv = max(max_dv, abs(v - ref.speed))
-    return IntegrationCheck(max_dp, max_dv)
+        sizes.append(h)
+        times.append(min(tf, times[-1] + h))
+    h = np.r_[np.full(m, dt), sizes]
+    t = np.r_[grid[:m], times]
+    t, t_next = t[:-1], t[1:]
+
+    # RK4 stages on (p, v); k3v equals k2v, both at t + h/2.
+    k1v, k2v, k4v = control(t), control(t + 0.5 * h), control(t + h)
+    dv = h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k2v + k4v)
+    v = np.add.accumulate(np.r_[traj.eval(t0).speed, dv])
+    vk, v = v[:-1], v[1:]
+    k2p, k3p, k4p = vk + 0.5 * h * k1v, vk + 0.5 * h * k2v, vk + h * k2v
+    p = np.add.accumulate(np.r_[0.0, h / 6.0 * (vk + 2.0 * k2p + 2.0 * k3p + k4p)])[1:]
+
+    # Closed form at each step's end, as `CubicTrajectory.eval` computes it.
+    tau = np.minimum(np.maximum(t_next - t0, 0.0), duration)
+    ref_p = ((traj.c3 * tau + traj.c2) * tau + traj.c1) * tau + traj.c0
+    ref_v = (3.0 * traj.c3 * tau + 2.0 * traj.c2) * tau + traj.c1
+    return IntegrationCheck(
+        float(np.max(np.abs(p - ref_p), initial=0.0)),
+        float(np.max(np.abs(v - ref_v), initial=0.0)),
+    )
 
 
 # ---------------------------------------------------------------------------
