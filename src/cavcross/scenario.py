@@ -211,15 +211,12 @@ def parse_scenario_dict(doc: Any) -> Scenario:
             params = _parse_params(
                 _require_mapping(node["params"], f"{field}.params"), f"{field}.params", defaults
             )
-        arrivals.append(
-            Arrival(
-                vehicle_id=vid,
-                time=_number(node, "time_s", field),
-                movement=movement,
-                v0=_number(node, "speed_mps", field),
-                params=params,
-            )
-        )
+        time = _number(node, "time_s", field)
+        v0 = _number(node, "speed_mps", field)
+        try:
+            arrivals.append(Arrival(vid, time, movement, v0, params))
+        except ValueError as exc:
+            raise ScenarioError(field, str(exc)) from None
 
     try:
         return Scenario(

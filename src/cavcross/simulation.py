@@ -51,13 +51,18 @@ class Arrival:
     params: VehicleParams
 
     def __post_init__(self) -> None:
-        # The same checks as the scenario parser; v0 is checked when planned.
+        # The scenario parser reports these as errors of the arrival.
         if not isinstance(self.vehicle_id, str) or not self.vehicle_id:
             raise ValueError(f"vehicle id must be a non-empty string, got {self.vehicle_id!r}")
         if not isinstance(self.movement, Movement):
             raise ValueError(f"movement must be a Movement, got {self.movement!r}")
         if not isinstance(self.params, VehicleParams):
             raise ValueError(f"params must be VehicleParams, got {self.params!r}")
+        if not self.params.v_min <= self.v0 <= self.params.v_max:
+            raise ValueError(
+                f"arrival speed {self.v0} outside "
+                f"[{self.params.v_min}, {self.params.v_max}]"
+            )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import textwrap
 
 import pytest
+import yaml
 
 from cavcross.cli import (
     EXIT_OK,
@@ -98,6 +99,16 @@ class TestRunCommand:
             )
         )
         assert main(["run", str(bad)]) == EXIT_PARSE
+
+    def test_out_of_range_speed_parse_exit(self, reference_path, tmp_path, capsys):
+        doc = yaml.safe_load(reference_path.read_text())
+        doc["arrivals"][0]["speed_mps"] = 50.0
+        bad = tmp_path / "fast.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: arrivals[0]: arrival speed 50.0 outside")
+        assert not (tmp_path / "out").exists()
 
     def test_planning_failure_exit(self, tmp_path, capsys):
         gridlock = tmp_path / "gridlock.yaml"

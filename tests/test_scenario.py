@@ -109,6 +109,13 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="policy"):
             parse_scenario_dict(doc)
 
+    def test_arrival_speed_out_of_bounds(self):
+        doc = yaml.safe_load(MINIMAL)
+        doc["arrivals"][0]["speed_mps"] = 50.0
+        with pytest.raises(ScenarioError, match="arrival speed 50.0 outside") as info:
+            parse_scenario_dict(doc)
+        assert info.value.field == "arrivals[0]"
+
     def test_decreasing_arrivals(self):
         doc = yaml.safe_load(MINIMAL)
         doc["arrivals"].append(

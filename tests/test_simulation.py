@@ -88,6 +88,16 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Arrival(**fields)
 
+    @pytest.mark.parametrize("v0", [math.nan, math.inf, 50.0, 1.0])
+    def test_arrival_speed_within_bounds(self, v0):
+        with pytest.raises(ValueError, match="arrival speed"):
+            Arrival("a", 0.0, WE, v0, VehicleParams())
+
+    def test_arrival_speed_on_the_bounds_accepted(self):
+        params = VehicleParams()
+        for v0 in (params.v_min, params.v_max):
+            assert Arrival("a", 0.0, WE, v0, params).v0 == v0
+
     def test_policy_string_coerced_or_rejected(self):
         assert make_scenario([], policy="fifo").policy is Policy.FIFO
         with pytest.raises(ValueError):
