@@ -68,6 +68,16 @@ def test_traced_run_and_plan_report_every_layer_metric(tmp_path):
     assert expected <= set(metrics)
     assert tracer.broken == set()
     assert tracer.missing == STALE_WRAP_POINTS
+    # The result line is strict JSON: no NaN or infinity among the numbers.
+    json.dumps({name: value for name, (value, _) in metrics.items()}, allow_nan=False)
+
+    # The RK4 cross-check runs once per planned vehicle, inside the run.
+    run_op = tracer.ops[0]["agg"]
+    assert run_op["planner.plan"][0] == 6
+    assert run_op["simulation.integrate"][0] == 6
+    (run_span,) = [r for r in tracer.records if r[1] == "simulation.run" and r[5] == 0]
+    integrate_parents = [r[4] for r in tracer.records if r[1] == "simulation.integrate"]
+    assert integrate_parents == [run_span[0]] * 6
 
     # `simulation.vehicle_steps` counts the rows the run samples: one per
     # data line of trajectory.csv.

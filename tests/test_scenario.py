@@ -2,9 +2,12 @@ import textwrap
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cavcross import (
     Cardinal,
+    IntersectionLayout,
     Policy,
     ScenarioError,
     generate_random_scenario,
@@ -151,6 +154,25 @@ class TestRoundTrip:
         doc["sim"] = {"seed": 42, "lateral_buffer_s": 1.0}
         scenario = parse_scenario_dict(doc)
         assert parse_scenario_dict(scenario_to_dict(scenario)) == scenario
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_vehicles=st.integers(0, 30),
+        mean_gap=st.floats(0.5, 10.0),
+        policy=st.sampled_from(list(Policy)),
+        lanes=st.sampled_from([1, 2, 3]),
+    )
+    def test_generated_scenarios_round_trip(self, seed, n_vehicles, mean_gap, policy, lanes):
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=n_vehicles,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            policy=policy,
+            mean_gap=mean_gap,
+        )
+        doc = scenario_to_dict(scenario)
+        assert parse_scenario_dict(doc) == scenario
+        assert parse_scenario_dict(yaml.safe_load(yaml.safe_dump(doc))) == scenario
 
 
 class TestGenerator:
