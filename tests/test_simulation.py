@@ -451,6 +451,7 @@ class TestIntegrationMatchesLoop:
             (0.0, 25.0, 0.01),  # 25 / 0.01 rounds above 2500
             (12.3, 37.3, 0.05),
             (3.0, 3.004, 0.01),  # shorter than one step
+            (0.0, 10.0, -0.01),  # a negative step takes no step
         ],
     )
     def test_durations_on_and_off_the_step(self, t0, tf, dt):
