@@ -448,8 +448,8 @@ class TestIntegrationMatchesLoop:
         "t0, tf, dt",
         [
             (0.0, 10.0, 0.25),  # every step is a full step, no tail
-            (0.0, 25.0, 0.01),  # 25 / 0.01 rounds above 2500
-            (12.3, 37.3, 0.05),
+            (0.0, 25.0, 0.01),  # the summed steps overshoot tf: one tail step
+            (12.3, 37.3, 0.05),  # the last full step ends short of tf
             (3.0, 3.004, 0.01),  # shorter than one step
             (0.0, 10.0, -0.01),  # a negative step takes no step
         ],
