@@ -1,7 +1,11 @@
+import atexit
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from cavcross import IntersectionLayout, VehicleParams
 
@@ -9,7 +13,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_SCENARIO = REPO_ROOT / "scenarios" / "reference.yaml"
 
 # Property tests draw the same examples on every run and keep no example
-# database, so the suite stays deterministic and writes nothing.
+# database, so the suite stays deterministic.  Hypothesis still caches the
+# constants it mines from the sources under its home directory, which
+# defaults to `.hypothesis/` in the working directory; point it at a
+# temporary directory so the suite writes nothing into the checkout.
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="cavcross-hypothesis-")
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
 settings.register_profile("cavcross", derandomize=True, deadline=None, database=None)
 settings.load_profile("cavcross")
 

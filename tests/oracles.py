@@ -4,7 +4,8 @@ Each oracle deliberately avoids the code path it checks: boundary solving is
 redone as a dense linear system, extrema and safety margins by dense
 sampling, energy by quadrature, arc lengths by numeric integration, the
 planner's minimum exit time by brute-force grid search over the library's
-feasibility predicate, and the run's sampled log and violations by the
+feasibility predicate, the planner's indexed and pruned search by the
+original full-scan search, and the run's sampled log and violations by the
 original per-step object loop, and the RK4 cross-check by its original
 scalar step loop.
 """
@@ -18,21 +19,39 @@ from typing import Optional
 import numpy as np
 
 from cavcross import (
+    BindingConstraint,
     CrossingProtocol,
     CubicTrajectory,
     IntersectionLayout,
     LaneId,
+    LaneOutcome,
     Movement,
+    Occupancy,
     PlanRequest,
+    PlanResult,
+    PlanningError,
+    Policy,
     ProtocolEntry,
     VehicleParams,
     VehiclePhase,
     Violation,
     conflicts,
     feasible_tf,
+    rear_end_margin,
     sample_zone_path,
+    solve_boundary,
+)
+from cavcross.planner import (
+    _FAIL_TO_BINDING,
+    DEFAULT_HORIZON_CAP,
+    DEFAULT_RESOLUTION,
+    SAFETY_SLACK,
+    _bounds_lower_bracket,
+    _Fail,
+    _tightened_params,
 )
 from cavcross.simulation import IntegrationCheck
+from cavcross.trajectory import BoundViolation, FeasibilityReport
 
 
 def solve_cubic_linear_system(v0: float, s_total: float, T: float) -> np.ndarray:
@@ -164,6 +183,231 @@ def make_entry(
     return ProtocolEntry(
         vehicle_id=vehicle_id, trajectory=traj, lane=lane, movement=movement
     )
+
+
+# ---------------------------------------------------------------------------
+# The planner's original search: every registered entry scanned for
+# conflicts, every conflicting occupancy checked on every probe, and a full
+# FeasibilityReport built per probe.  Kept as the reference for the indexed,
+# pruned search with the cached bounds check.
+# ---------------------------------------------------------------------------
+
+def conflicting_occupancies_scan(
+    protocol: CrossingProtocol, movement: Movement
+) -> list[Occupancy]:
+    """Conflicting occupancies by scanning every registered entry."""
+    return sorted(
+        protocol.merging_occupancy(entry)
+        for entry in protocol
+        if conflicts(movement, entry.movement)
+    )
+
+
+def min_speed_reference(traj: CubicTrajectory) -> float:
+    """Minimum speed over the window from the endpoint and vertex speeds."""
+    T = traj.duration
+    candidates = [traj._pva(0.0).speed, traj._pva(T).speed]
+    if traj.c3 != 0.0:
+        vertex = -traj.c2 / (3.0 * traj.c3)
+        if 0.0 < vertex < T:
+            candidates.append(traj._pva(vertex).speed)
+    return min(candidates)
+
+
+def feasibility_reference(traj: CubicTrajectory, params: VehicleParams) -> FeasibilityReport:
+    """Exact bound check: speed is quadratic (endpoint or interior vertex
+    extrema), acceleration is linear (endpoint extrema)."""
+    T = traj.duration
+    speed_pts = [(0.0, traj._pva(0.0).speed), (T, traj._pva(T).speed)]
+    if traj.c3 != 0.0:
+        vertex = -traj.c2 / (3.0 * traj.c3)
+        if 0.0 < vertex < T:
+            speed_pts.append((vertex, traj._pva(vertex).speed))
+    accel_pts = [(0.0, traj._pva(0.0).accel), (T, traj._pva(T).accel)]
+
+    t_vmin, min_speed = min(speed_pts, key=lambda kv: kv[1])
+    t_vmax, max_speed = max(speed_pts, key=lambda kv: kv[1])
+    t_umin, min_accel = min(accel_pts, key=lambda kv: kv[1])
+    t_umax, max_accel = max(accel_pts, key=lambda kv: kv[1])
+
+    violations = []
+    if min_speed < params.v_min:
+        violations.append(BoundViolation("v_min", params.v_min - min_speed, traj.t0 + t_vmin))
+    if max_speed > params.v_max:
+        violations.append(BoundViolation("v_max", max_speed - params.v_max, traj.t0 + t_vmax))
+    if min_accel < params.u_min:
+        violations.append(BoundViolation("u_min", params.u_min - min_accel, traj.t0 + t_umin))
+    if max_accel > params.u_max:
+        violations.append(BoundViolation("u_max", max_accel - params.u_max, traj.t0 + t_umax))
+
+    speed_ok = params.v_min <= min_speed and max_speed <= params.v_max
+    accel_ok = params.u_min <= min_accel and max_accel <= params.u_max
+    worst = max(violations, key=lambda v: v.magnitude) if violations else None
+    return FeasibilityReport(
+        speed_ok, accel_ok, min_speed, max_speed, min_accel, max_accel, worst
+    )
+
+
+@dataclass
+class _SearchContext:
+    request: PlanRequest
+    s_total: float
+    window_entry: float
+    window_exit: float
+    caps: VehicleParams
+    leader: Optional[ProtocolEntry]
+    conflicting: list[Occupancy]
+    lateral_buffer: float
+    min_zone_entry: Optional[float]
+
+    def check(self, tf: float) -> tuple[bool, Optional[_Fail], Optional[float]]:
+        """Full feasibility of one candidate exit time.
+
+        Returns (ok, failed-constraint, zone-entry target to jump past).
+        """
+        req = self.request
+        traj = solve_boundary(req.v0, self.s_total, req.t0, tf)
+        if not feasibility_reference(traj, self.caps).ok:
+            return False, _Fail.BOUNDS, None
+        t_in = traj.invert(self.window_entry)
+        if self.min_zone_entry is not None and t_in < self.min_zone_entry - SAFETY_SLACK:
+            return False, _Fail.ORDER, self.min_zone_entry
+        if self.leader is not None:
+            if rear_end_margin(traj, self.leader, req.params) < SAFETY_SLACK:
+                return False, _Fail.REAR_END, None
+        t_out = traj.invert(self.window_exit)
+        for occ in self.conflicting:
+            separated = (
+                t_out + self.lateral_buffer < occ.t_in - SAFETY_SLACK
+                or t_in - self.lateral_buffer > occ.t_out + SAFETY_SLACK
+            )
+            if not separated:
+                return False, _Fail.LATERAL, occ.t_out + self.lateral_buffer + 2.0 * SAFETY_SLACK
+        return True, None, None
+
+    def zone_entry(self, tf: float) -> float:
+        traj = solve_boundary(self.request.v0, self.s_total, self.request.t0, tf)
+        return traj.invert(self.window_entry)
+
+
+def _make_context(
+    request: PlanRequest,
+    lane: LaneId,
+    protocol: CrossingProtocol,
+    layout: IntersectionLayout,
+    lateral_buffer: float,
+    min_zone_entry: Optional[float],
+) -> _SearchContext:
+    window = layout.merging_window(request.movement)
+    leader = protocol.predecessor_on_lane(lane, request.movement.origin, request.t0)
+    return _SearchContext(
+        request=request,
+        s_total=layout.total_distance(request.movement),
+        window_entry=window.entry,
+        window_exit=window.exit,
+        caps=_tightened_params(request.params, request.v0),
+        leader=leader,
+        conflicting=conflicting_occupancies_scan(protocol, request.movement),
+        lateral_buffer=lateral_buffer,
+        min_zone_entry=min_zone_entry,
+    )
+
+
+def _tf_for_zone_entry(
+    ctx: _SearchContext, target: float, lo: float, hi: float
+) -> Optional[float]:
+    """Smallest tf in [lo, hi] whose merging-zone entry time reaches `target`.
+
+    Valid only on the regime where the entry time grows with tf, which holds
+    for horizons up to twice the constant-speed horizon; callers cap `hi`
+    accordingly and fall back to plain stepping beyond it.
+    """
+    if ctx.zone_entry(hi) < target:
+        return None
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if ctx.zone_entry(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-9:
+            break
+    return hi
+
+
+def _search_min_tf(
+    ctx: _SearchContext, horizon_cap: float
+) -> tuple[Optional[float], Optional[CubicTrajectory], BindingConstraint]:
+    req = ctx.request
+    v0, s_total = req.v0, ctx.s_total
+    t_lb = _bounds_lower_bracket(v0, s_total, ctx.caps)
+    # Beyond this horizon the terminal speed drops below the floor for good.
+    t_ub = 3.0 * s_total / (v0 + 2.0 * ctx.caps.v_min)
+    tf_max = req.t0 + min(horizon_cap, t_ub)
+    jump_hi = req.t0 + min(2.0 * s_total / v0, min(horizon_cap, t_ub))
+
+    tf = req.t0 + t_lb
+    last_bad: Optional[float] = None
+    last_fail = _Fail.BOUNDS
+    while tf <= tf_max + 1e-12:
+        ok, fail, zone_target = ctx.check(tf)
+        if ok:
+            if last_bad is None:
+                traj = solve_boundary(v0, s_total, req.t0, tf)
+                return tf, traj, BindingConstraint.BOUNDS
+            lo, hi = last_bad, tf
+            fail_at_lo = last_fail
+            while hi - lo > 1e-9:
+                mid = 0.5 * (lo + hi)
+                ok_mid, fail_mid, _ = ctx.check(mid)
+                if ok_mid:
+                    hi = mid
+                else:
+                    lo, fail_at_lo = mid, fail_mid
+            traj = solve_boundary(v0, s_total, req.t0, hi)
+            return hi, traj, _FAIL_TO_BINDING[fail_at_lo]
+        nxt = tf + DEFAULT_RESOLUTION
+        if zone_target is not None and tf < jump_hi:
+            jumped = _tf_for_zone_entry(ctx, zone_target, tf, jump_hi)
+            if jumped is not None:
+                nxt = max(nxt, jumped)
+        last_bad, last_fail = tf, fail
+        tf = nxt
+    return None, None, _FAIL_TO_BINDING[last_fail]
+
+
+def plan_reference(
+    request: PlanRequest,
+    protocol: CrossingProtocol,
+    layout: IntersectionLayout,
+    *,
+    policy: Policy = Policy.OPTIMAL,
+    lateral_buffer: float = 0.0,
+    horizon_cap: float = DEFAULT_HORIZON_CAP,
+) -> PlanResult:
+    """Lane and minimum exit time for an arriving vehicle.
+
+    Under `Policy.FIFO` the vehicle may not enter the merging zone before any
+    earlier-registered vehicle does (strict entry-order queue).  Ties between
+    lanes break toward the lowest lane index.
+    """
+    min_zone_entry: Optional[float] = None
+    if Policy(policy) is Policy.FIFO:
+        min_zone_entry = max(
+            (protocol.merging_occupancy(entry).t_in for entry in protocol), default=None
+        )
+    searches = []
+    for lane in layout.allowed_lanes(request.movement):
+        ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
+        searches.append((lane, *_search_min_tf(ctx, horizon_cap)))
+    outcomes = tuple(LaneOutcome(lane, tf, binding) for lane, tf, _, binding in searches)
+    feasible = [search for search in searches if search[1] is not None]
+    if not feasible:
+        raise PlanningError(
+            request.vehicle_id, {o.lane: o.binding_constraint for o in outcomes}
+        )
+    lane, tf, traj, binding = min(feasible, key=lambda search: (search[1], search[0]))
+    return PlanResult(lane, tf, traj, binding, outcomes)
 
 
 # ---------------------------------------------------------------------------

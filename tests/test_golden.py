@@ -1,7 +1,7 @@
-"""Frozen SHA-256 hashes of the command-line outputs.
+"""Frozen SHA-256 hashes of the command-line outputs and of planner decisions.
 
-Any change to the bytes `cavcross run` writes or `cavcross plan` prints
-fails here.  Re-freeze a hash only for an intended behaviour change, and say
+Any change to the bytes `cavcross run` writes or `cavcross plan` prints,
+or to any decision the planner makes on a 300-vehicle stream, fails here.  Re-freeze a hash only for an intended behaviour change, and say
 why in CHANGES.md.
 """
 
@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from cavcross import Policy, generate_random_scenario, save_scenario
+from cavcross import Policy, generate_random_scenario, save_scenario, schedule
 from cavcross.cli import EXIT_OK, main
 
 RUN_FILES = (
@@ -64,6 +64,16 @@ PLAN_GOLDEN = {
     "fifo": "dc2723dd2bb5ca35fbe3d121d115403b066c0bc7a85211af65a7a76fe04aba1d",
 }
 
+# `schedule` on generate_random_scenario(seed=7, n_vehicles=300,
+# mean_gap=3.0) with each policy: one line per vehicle with the chosen lane,
+# repr(tf), the binding constraint and every lane's outcome.  The plan
+# golden above hashes only the last vehicle's printout; this pins all 600
+# decisions, including the stream `dense_plan` benchmarks.
+DECISION_GOLDEN = {
+    "optimal": "7cea9487504fe094537233450f75a79eccdfe9c02459d833c6a688c54f2a1c13",
+    "fifo": "44b7bdf8413a2a3acf5e2457d78a39107006daba062ef2edb2a8d187630c9f0b",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -97,3 +107,23 @@ def test_plan_output_matches_golden(policy, tmp_path, capsys):
     code = main(["plan", str(path), "--vehicle", "veh60"])
     assert code == EXIT_OK
     assert _sha256(capsys.readouterr().out.encode()) == PLAN_GOLDEN[policy]
+
+
+def _decisions(plans) -> str:
+    lines = []
+    for vid, result in plans.items():
+        lanes = " ".join(
+            f"{o.lane}:{o.tf!r}:{o.binding_constraint.value}" for o in result.lanes
+        )
+        lines.append(
+            f"{vid} {result.lane} {result.tf!r} {result.binding_constraint.value} {lanes}\n"
+        )
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("policy", ["optimal", "fifo"])
+def test_stream_decisions_match_golden(policy):
+    scenario = generate_random_scenario(seed=7, n_vehicles=300, mean_gap=3.0)
+    _, plans = schedule(dataclasses.replace(scenario, policy=Policy(policy)))
+    assert len(plans) == 300
+    assert _sha256(_decisions(plans).encode()) == DECISION_GOLDEN[policy]

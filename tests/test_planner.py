@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavcross import (
     BindingConstraint,
@@ -12,7 +14,9 @@ from cavcross import (
     PlanRequest,
     PlanningError,
     Policy,
+    ProtocolEntry,
     VehicleParams,
+    generate_random_scenario,
     lateral_ok,
     min_feasible_tf,
     plan,
@@ -437,3 +441,74 @@ class TestFifoPlan:
         opt = plan(req, protocol, layout)
         assert opt.trajectory.invert(125.0) < lead_occ.t_in
         assert opt.tf < result.tf
+
+
+def _plan_stream_against_reference(scenario) -> int:
+    """Plan a scenario's arrivals with `plan` and with the original search.
+
+    Each vehicle must get an equal PlanResult or an equal PlanningError; a
+    vehicle neither planner admits is left out and the stream goes on.
+    Returns the number of vehicles not admitted.
+    """
+    layout = scenario.layout
+    protocol = CrossingProtocol(layout)
+    options = dict(
+        policy=scenario.policy,
+        lateral_buffer=scenario.lateral_buffer,
+        horizon_cap=scenario.horizon_cap,
+    )
+    refused = 0
+    for arrival in scenario.arrivals:
+        req = PlanRequest(
+            arrival.vehicle_id, arrival.movement, arrival.time, arrival.v0, arrival.params
+        )
+        try:
+            expected = oracles.plan_reference(req, protocol, layout, **options)
+        except PlanningError as exc:
+            with pytest.raises(PlanningError) as info:
+                plan(req, protocol, layout, **options)
+            assert info.value.vehicle_id == exc.vehicle_id
+            assert info.value.lane_failures == exc.lane_failures
+            refused += 1
+            continue
+        assert plan(req, protocol, layout, **options) == expected, arrival.vehicle_id
+        protocol.register(
+            ProtocolEntry(arrival.vehicle_id, expected.trajectory, expected.lane, arrival.movement)
+        )
+    return refused
+
+
+class TestPlanMatchesReferenceSearch:
+    """`plan` decides exactly as the original full-scan search
+    (`oracles.plan_reference`): same lane, exit time bits, trajectory,
+    binding constraint and lane outcomes, or the same PlanningError."""
+
+    @settings(max_examples=30)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_vehicles=st.integers(1, 40),
+        mean_gap=st.floats(1.5, 4.0),
+        lanes=st.integers(1, 3),
+        lateral_buffer=st.floats(0.0, 1.0),
+        policy=st.sampled_from(list(Policy)),
+    )
+    def test_generated_streams(self, seed, n_vehicles, mean_gap, lanes, lateral_buffer, policy):
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=n_vehicles,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            policy=policy,
+            mean_gap=mean_gap,
+            lateral_buffer=lateral_buffer,
+        )
+        _plan_stream_against_reference(scenario)
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize(
+        "seed, n_vehicles, mean_gap", [(3, 80, 2.0), (4, 150, 3.0)]
+    )
+    def test_overloaded_streams(self, seed, n_vehicles, mean_gap, policy):
+        scenario = generate_random_scenario(
+            seed=seed, n_vehicles=n_vehicles, mean_gap=mean_gap, policy=policy
+        )
+        assert _plan_stream_against_reference(scenario) > 0
