@@ -12,6 +12,17 @@ the blocking occupancy, and a final bisection onto the feasibility boundary.
 
 Under the first-in-first-out policy the vehicle may, in addition, not enter
 the merging zone before any earlier-registered vehicle does.
+
+Each probe does only the work that can change its verdict.  The bounds
+check compares the caps with the candidate's cached extrema.  The lateral
+check sees only the conflicting occupancies that the vehicle can still
+meet: every plan enters the zone at or after its arrival time, so an
+occupancy that ends (plus buffer and slack) before the arrival is
+separated from every candidate, and leaving it out changes no verdict.
+The occupancies stay sorted by entry time, so the first one that rejects a
+candidate, and with it the jump target, is the same as over the full set,
+and the scan stops at the first occupancy that starts after the candidate
+has left the zone.
 """
 
 from __future__ import annotations
@@ -237,6 +248,18 @@ def _bounds_lower_bracket(v0: float, s_total: float, caps: VehicleParams) -> flo
     return max(t_speed, t_accel)
 
 
+def _within_caps(traj: CubicTrajectory, caps: VehicleParams) -> bool:
+    """Whether the trajectory's speed and acceleration stay inside `caps`;
+    equal to `traj.feasibility(caps).ok`."""
+    min_speed, max_speed, min_accel, max_accel = traj.extrema
+    return (
+        caps.v_min <= min_speed
+        and max_speed <= caps.v_max
+        and caps.u_min <= min_accel
+        and max_accel <= caps.u_max
+    )
+
+
 @dataclass
 class _SearchContext:
     request: PlanRequest
@@ -256,7 +279,7 @@ class _SearchContext:
         """
         req = self.request
         traj = solve_boundary(req.v0, self.s_total, req.t0, tf)
-        if not traj.feasibility(self.caps).ok:
+        if not _within_caps(traj, self.caps):
             return False, _Fail.BOUNDS, None
         t_in = traj.invert(self.window_entry)
         if self.min_zone_entry is not None and t_in < self.min_zone_entry - SAFETY_SLACK:
@@ -266,11 +289,11 @@ class _SearchContext:
                 return False, _Fail.REAR_END, None
         t_out = traj.invert(self.window_exit)
         for occ in self.conflicting:
-            separated = (
-                t_out + self.lateral_buffer < occ.t_in - SAFETY_SLACK
-                or t_in - self.lateral_buffer > occ.t_out + SAFETY_SLACK
-            )
-            if not separated:
+            if t_out + self.lateral_buffer < occ.t_in - SAFETY_SLACK:
+                # Sorted by entry time: every later occupancy starts after
+                # this one, so the candidate leaves before it too.
+                break
+            if not t_in - self.lateral_buffer > occ.t_out + SAFETY_SLACK:
                 return False, _Fail.LATERAL, occ.t_out + self.lateral_buffer + 2.0 * SAFETY_SLACK
         return True, None, None
 
@@ -289,6 +312,14 @@ def _make_context(
 ) -> _SearchContext:
     window = layout.merging_window(request.movement)
     leader = protocol.predecessor_on_lane(lane, request.movement.origin, request.t0)
+    # Every candidate enters the zone at t_in >= t0, so an occupancy dropped
+    # here passes the check's `t_in - buffer > t_out + slack` for all of them.
+    earliest = request.t0 - lateral_buffer
+    conflicting = [
+        occ
+        for occ in protocol.conflicting_occupancies(request.movement)
+        if not earliest > occ.t_out + SAFETY_SLACK
+    ]
     return _SearchContext(
         request=request,
         s_total=layout.total_distance(request.movement),
@@ -296,7 +327,7 @@ def _make_context(
         window_exit=window.exit,
         caps=_tightened_params(request.params, request.v0),
         leader=leader,
-        conflicting=protocol.conflicting_occupancies(request.movement),
+        conflicting=conflicting,
         lateral_buffer=lateral_buffer,
         min_zone_entry=min_zone_entry,
     )
@@ -425,9 +456,7 @@ def plan(
     """
     min_zone_entry: Optional[float] = None
     if Policy(policy) is Policy.FIFO:
-        min_zone_entry = max(
-            (protocol.merging_occupancy(entry).t_in for entry in protocol), default=None
-        )
+        min_zone_entry = protocol.latest_zone_entry
     searches = []
     for lane in layout.allowed_lanes(request.movement):
         ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)

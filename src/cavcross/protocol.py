@@ -5,6 +5,11 @@ lane and movement here before it starts driving; all later arrivals
 plan against the registered set.  Entries are append-only and are kept after
 their vehicle exits (metrics need them) but drop out of the active set.
 Reads are assumed instantaneous and exact.
+
+Registration computes each entry's merging-zone occupancy once and files it
+under the entry's movement, so a conflict query looks up movement pairs
+(at most twelve) rather than every registered entry, and keeps the latest
+zone entry time as a running maximum for the first-in-first-out bound.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ class CrossingProtocol:
         self._entries: list[ProtocolEntry] = []
         self._by_id: dict[str, ProtocolEntry] = {}
         self._occupancy: dict[str, Occupancy] = {}
+        self._occupancy_by_movement: dict[Movement, list[Occupancy]] = {}
+        self._latest_zone_entry: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -89,6 +96,14 @@ class CrossingProtocol:
         self._entries.append(entry)
         self._by_id[entry.vehicle_id] = entry
         self._occupancy[entry.vehicle_id] = occ
+        self._occupancy_by_movement.setdefault(entry.movement, []).append(occ)
+        if self._latest_zone_entry is None or occ.t_in > self._latest_zone_entry:
+            self._latest_zone_entry = occ.t_in
+
+    @property
+    def latest_zone_entry(self) -> Optional[float]:
+        """Latest merging-zone entry time of any registered entry (None if empty)."""
+        return self._latest_zone_entry
 
     def active_entries(self, t: float) -> tuple[ProtocolEntry, ...]:
         """Entries whose trajectory window contains time t."""
@@ -127,9 +142,10 @@ class CrossingProtocol:
         """Merging occupancies of every entry whose movement conflicts with
         `movement`, sorted by entry then exit time."""
         return sorted(
-            self._occupancy[entry.vehicle_id]
-            for entry in self._entries
-            if conflicts(movement, entry.movement)
+            occ
+            for other, occupancies in self._occupancy_by_movement.items()
+            if conflicts(movement, other)
+            for occ in occupancies
         )
 
     def to_records(self) -> list[dict]:

@@ -11,7 +11,7 @@ conditioning; all public methods accept and return absolute times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -69,6 +69,15 @@ class TrajectorySample(NamedTuple):
     accel: float
 
 
+class Extrema(NamedTuple):
+    """Speed and acceleration extrema of a trajectory over its window."""
+
+    min_speed: float
+    max_speed: float
+    min_accel: float
+    max_accel: float
+
+
 class BoundViolation(NamedTuple):
     bound: str  # "v_min" | "v_max" | "u_min" | "u_max"
     magnitude: float
@@ -120,7 +129,8 @@ class CubicTrajectory:
     """Position law p(tau) = c3*tau^3 + c2*tau^2 + c1*tau + c0, tau = t - t0.
 
     Covers [t0, tf] and travels s_total meters; c0 is zero because position
-    is measured from the control-zone entry.
+    is measured from the control-zone entry.  `extrema` is derived from the
+    other fields once, at construction.
     """
 
     c3: float
@@ -130,6 +140,7 @@ class CubicTrajectory:
     t0: float
     tf: float
     s_total: float
+    extrema: Extrema = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tf > self.t0:
@@ -144,6 +155,7 @@ class CubicTrajectory:
             raise ValueError(
                 f"terminal position {end} inconsistent with s_total {self.s_total}"
             )
+        object.__setattr__(self, "extrema", self._extrema())
 
     # -- basic evaluation ----------------------------------------------------
 
@@ -175,21 +187,40 @@ class CubicTrajectory:
         a0 = self.c0 - self.c1 * a + self.c2 * a * a - self.c3 * a**3
         return (a3, a2, a1, a0)
 
-    # -- monotonicity and inversion -------------------------------------------
+    # -- extrema, monotonicity and inversion ----------------------------------
+
+    def _speed_vertex(self) -> Optional[float]:
+        """Offset of the speed parabola's vertex if it lies inside the window."""
+        if self.c3 != 0.0:
+            vertex = -self.c2 / (3.0 * self.c3)
+            if 0.0 < vertex < self.duration:
+                return vertex
+        return None
+
+    def _extrema(self) -> Extrema:
+        """Exact speed and acceleration extrema over the window.
+
+        Speed is quadratic in time, so its extrema lie at the endpoints or at
+        an interior vertex; acceleration is linear, so its extrema lie at
+        the endpoints.  The values are those `_pva` gives at these offsets.
+        """
+        c3, c2, c1 = self.c3, self.c2, self.c1
+        T = self.duration
+        v_start = (3.0 * c3 * 0.0 + 2.0 * c2) * 0.0 + c1
+        v_end = (3.0 * c3 * T + 2.0 * c2) * T + c1
+        min_speed, max_speed = min(v_start, v_end), max(v_start, v_end)
+        vertex = self._speed_vertex()
+        if vertex is not None:
+            v_vertex = (3.0 * c3 * vertex + 2.0 * c2) * vertex + c1
+            min_speed, max_speed = min(min_speed, v_vertex), max(max_speed, v_vertex)
+        a_start = 6.0 * c3 * 0.0 + 2.0 * c2
+        a_end = 6.0 * c3 * T + 2.0 * c2
+        return Extrema(min_speed, max_speed, min(a_start, a_end), max(a_start, a_end))
 
     @property
     def is_monotone(self) -> bool:
         """True when speed stays strictly positive over the whole window."""
-        return self._min_speed() > 0.0
-
-    def _min_speed(self) -> float:
-        T = self.duration
-        candidates = [self._pva(0.0).speed, self._pva(T).speed]
-        if self.c3 != 0.0:
-            vertex = -self.c2 / (3.0 * self.c3)
-            if 0.0 < vertex < T:
-                candidates.append(self._pva(vertex).speed)
-        return min(candidates)
+        return self.extrema.min_speed > 0.0
 
     def invert(self, position: float) -> float:
         """Absolute time at which the vehicle is at `position`.
@@ -249,30 +280,29 @@ class CubicTrajectory:
     # -- feasibility and cost --------------------------------------------------
 
     def feasibility(self, params: VehicleParams) -> FeasibilityReport:
-        """Exact bound check: speed is quadratic (endpoint or interior vertex
-        extrema), acceleration is linear (endpoint extrema)."""
+        """Exact bound check against the extrema (see `extrema`)."""
+        min_speed, max_speed, min_accel, max_accel = self.extrema
         T = self.duration
-        speed_pts = [(0.0, self._pva(0.0).speed), (T, self._pva(T).speed)]
-        if self.c3 != 0.0:
-            vertex = -self.c2 / (3.0 * self.c3)
-            if 0.0 < vertex < T:
-                speed_pts.append((vertex, self._pva(vertex).speed))
-        accel_pts = [(0.0, self._pva(0.0).accel), (T, self._pva(T).accel)]
+        vertex = self._speed_vertex()
+        speed_taus = (0.0, T) if vertex is None else (0.0, T, vertex)
 
-        t_vmin, min_speed = min(speed_pts, key=lambda kv: kv[1])
-        t_vmax, max_speed = max(speed_pts, key=lambda kv: kv[1])
-        t_umin, min_accel = min(accel_pts, key=lambda kv: kv[1])
-        t_umax, max_accel = max(accel_pts, key=lambda kv: kv[1])
+        def first_tau(taus, value, field):
+            # The offset of the first candidate at the extremum, as min/max pick it.
+            return next(tau for tau in taus if getattr(self._pva(tau), field) == value)
 
         violations = []
         if min_speed < params.v_min:
-            violations.append(BoundViolation("v_min", params.v_min - min_speed, self.t0 + t_vmin))
+            tau = first_tau(speed_taus, min_speed, "speed")
+            violations.append(BoundViolation("v_min", params.v_min - min_speed, self.t0 + tau))
         if max_speed > params.v_max:
-            violations.append(BoundViolation("v_max", max_speed - params.v_max, self.t0 + t_vmax))
+            tau = first_tau(speed_taus, max_speed, "speed")
+            violations.append(BoundViolation("v_max", max_speed - params.v_max, self.t0 + tau))
         if min_accel < params.u_min:
-            violations.append(BoundViolation("u_min", params.u_min - min_accel, self.t0 + t_umin))
+            tau = first_tau((0.0, T), min_accel, "accel")
+            violations.append(BoundViolation("u_min", params.u_min - min_accel, self.t0 + tau))
         if max_accel > params.u_max:
-            violations.append(BoundViolation("u_max", max_accel - params.u_max, self.t0 + t_umax))
+            tau = first_tau((0.0, T), max_accel, "accel")
+            violations.append(BoundViolation("u_max", max_accel - params.u_max, self.t0 + tau))
 
         speed_ok = params.v_min <= min_speed and max_speed <= params.v_max
         accel_ok = params.u_min <= min_accel and max_accel <= params.u_max

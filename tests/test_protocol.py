@@ -3,10 +3,14 @@ import math
 import pytest
 
 from cavcross import (
+    ALL_MOVEMENTS,
     Cardinal,
     CrossingProtocol,
     DuplicateVehicleError,
+    IntersectionLayout,
     Movement,
+    generate_random_scenario,
+    schedule,
     solve_boundary,
 )
 
@@ -166,6 +170,48 @@ class TestConflictingOccupancies:
         ]
         assert protocol.conflicting_occupancies(Movement(W, E)) == [occ["ns"]]
         assert CrossingProtocol(layout).conflicting_occupancies(Movement(W, E)) == []
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 5, 12])
+    def test_index_equals_full_scan(self, lanes, seed):
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=30,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            mean_gap=2.5,
+        )
+        protocol, _ = schedule(scenario)
+        assert len(protocol) == 30
+        for movement in ALL_MOVEMENTS:
+            assert protocol.conflicting_occupancies(
+                movement
+            ) == oracles.conflicting_occupancies_scan(protocol, movement)
+
+
+class TestLatestZoneEntry:
+    def test_empty_protocol(self, layout):
+        assert CrossingProtocol(layout).latest_zone_entry is None
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_running_maximum_over_entries(self, lanes):
+        scenario = generate_random_scenario(
+            seed=3, n_vehicles=25, layout=IntersectionLayout(lanes_per_approach=lanes)
+        )
+        full, _ = schedule(scenario)
+        protocol = CrossingProtocol(scenario.layout)
+        for entry in full:
+            protocol.register(entry)
+            expected = max(protocol.merging_occupancy(e).t_in for e in protocol)
+            assert protocol.latest_zone_entry == expected
+
+    def test_later_registration_with_earlier_entry_keeps_maximum(self, layout):
+        protocol = CrossingProtocol(layout)
+        lane = layout.allowed_lanes(Movement(W, E))[0]
+        protocol.register(constant_speed_entry("late", lane, Movement(W, E), t0=6.0))
+        late = protocol.merging_occupancy(protocol.get("late")).t_in
+        lane_ns = layout.allowed_lanes(Movement(N, S))[0]
+        protocol.register(constant_speed_entry("early", lane_ns, Movement(N, S), t0=1.0))
+        assert protocol.latest_zone_entry == late
 
 
 class TestSerialization:

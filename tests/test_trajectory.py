@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cavcross import (
     CubicTrajectory,
@@ -11,6 +13,7 @@ from cavcross import (
     VehicleParams,
     solve_boundary,
 )
+from cavcross.planner import _within_caps
 
 import oracles
 
@@ -278,3 +281,77 @@ class TestCubicTrajectoryInvariants:
         for t in np.linspace(4.0, 31.0, 23):
             direct = ((a3 * t + a2) * t + a1) * t + a0
             assert direct == pytest.approx(traj.eval(float(t)).position, abs=1e-8)
+
+
+def _assert_extrema_agree(traj, caps):
+    """Cached extrema against the per-call computation they replace."""
+    assert traj.is_monotone == (oracles.min_speed_reference(traj) > 0.0)
+    report = traj.feasibility(caps)
+    assert report == oracles.feasibility_reference(traj, caps)
+    assert _within_caps(traj, caps) == report.ok
+    assert tuple(traj.extrema) == (
+        report.min_speed,
+        report.max_speed,
+        report.min_accel,
+        report.max_accel,
+    )
+
+
+class TestCachedExtrema:
+    """`extrema`, `is_monotone`, `feasibility` and the planner's bounds test
+    give exactly what the per-call endpoint-and-vertex computation gave."""
+
+    @given(
+        v0=st.floats(0.5, 20.0),
+        s_total=st.floats(5.0, 400.0),
+        ratio=st.floats(0.2, 3.5),
+        t0=st.floats(0.0, 3600.0),
+        v_min=st.floats(0.1, 6.0),
+        v_span=st.floats(0.5, 20.0),
+        u_min=st.floats(-6.0, -0.05),
+        u_max=st.floats(0.05, 6.0),
+    )
+    @example(v0=10.0, s_total=275.0, ratio=1.0, t0=0.0, v_min=2.0, v_span=16.0, u_min=-3.0, u_max=3.0)
+    @example(v0=2.0, s_total=275.0, ratio=0.05, t0=0.0, v_min=2.0, v_span=16.0, u_min=-3.0, u_max=3.0)
+    def test_boundary_cubics(self, v0, s_total, ratio, t0, v_min, v_span, u_min, u_max):
+        T = ratio * s_total / v0
+        if T <= 0.0 or t0 + T <= t0:
+            return
+        traj = solve_boundary(v0, s_total, t0, t0 + T)
+        _assert_extrema_agree(traj, VehicleParams(u_min, u_max, v_min, v_min + v_span))
+
+    def test_constant_speed_has_no_vertex(self):
+        # T = s/v0 exactly: c3 == 0 and the speed is flat.
+        traj = solve_boundary(10.0, 275.0, 3.0, 30.5)
+        assert traj.c3 == 0.0 and traj.c2 == 0.0
+        assert traj.extrema == (10.0, 10.0, 0.0, 0.0)
+        _assert_extrema_agree(traj, VehicleParams())
+
+    def test_interior_vertex(self):
+        # v(tau) = 0.03 tau^2 - 0.6 tau + 10 has its minimum 7 at tau = 10.
+        traj = CubicTrajectory(0.01, -0.3, 10.0, 0.0, 2.0, 22.0, 160.0)
+        assert traj.extrema.min_speed == pytest.approx(7.0)
+        assert traj.extrema.max_speed == 10.0
+        for v_min in (6.0, 7.5, traj.extrema.min_speed):
+            _assert_extrema_agree(traj, VehicleParams(v_min=v_min))
+        assert traj.feasibility(VehicleParams(v_min=7.5)).worst_violation.time == 12.0
+
+    def test_caps_hit_exactly(self):
+        traj = solve_boundary(10.0, 275.0, 0.0, 25.0)
+        min_speed, max_speed, min_accel, max_accel = traj.extrema
+        assert min_accel < 0.0 < max_accel
+        at = VehicleParams(min_accel, max_accel, min_speed, max_speed)
+        assert _within_caps(traj, at)
+        _assert_extrema_agree(traj, at)
+        for nudged in (
+            VehicleParams(min_accel, math.nextafter(max_accel, 0.0), min_speed, max_speed),
+            VehicleParams(math.nextafter(min_accel, 0.0), max_accel, min_speed, max_speed),
+            VehicleParams(min_accel, max_accel, math.nextafter(min_speed, 99.0), max_speed),
+            VehicleParams(min_accel, max_accel, min_speed, math.nextafter(max_speed, 0.0)),
+        ):
+            assert not _within_caps(traj, nudged)
+            _assert_extrema_agree(traj, nudged)
+
+    def test_computed_once(self):
+        traj = solve_boundary(10.0, 275.0, 0.0, 25.0)
+        assert traj.extrema is traj.extrema
