@@ -286,9 +286,9 @@ class CubicTrajectory:
         vertex = self._speed_vertex()
         speed_taus = (0.0, T) if vertex is None else (0.0, T, vertex)
 
-        def first_tau(taus, value, field):
+        def first_tau(taus, value, quantity):
             # The offset of the first candidate at the extremum, as min/max pick it.
-            return next(tau for tau in taus if getattr(self._pva(tau), field) == value)
+            return next(tau for tau in taus if getattr(self._pva(tau), quantity) == value)
 
         violations = []
         if min_speed < params.v_min:
