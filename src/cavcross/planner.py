@@ -13,21 +13,25 @@ the blocking occupancy, and a final bisection onto the feasibility boundary.
 Under the first-in-first-out policy the vehicle may, in addition, not enter
 the merging zone before any earlier-registered vehicle does.
 
-Each probe does only the work that can change its verdict.  The bounds
-check compares the caps with the candidate's cached extrema.  The lateral
-check sees only the conflicting occupancies that the vehicle can still
-meet: every plan enters the zone at or after its arrival time, so an
-occupancy that ends (plus buffer and slack) before the arrival is
-separated from every candidate, and leaving it out changes no verdict.
-The occupancies stay sorted by entry time, so the first one that rejects a
-candidate, and with it the jump target, is the same as over the full set,
-and the scan stops at the first occupancy that starts after the candidate
-has left the zone.
+Each probe does only the work that can change its verdict, in plain
+floats: the trajectory module's float kernels give it the bits, and the
+exceptions, of building and evaluating a `CubicTrajectory`; only the
+returned plan is built as one.  The lateral check sees only the conflicting
+occupancies that the vehicle can still meet: every plan enters the zone at
+or after its arrival time, so an occupancy that ends (plus buffer and slack)
+before the arrival is separated from every candidate, and a running maximum
+of exit times lets the search bisect past those.  The occupancies stay
+sorted by entry time, so the first one that rejects a candidate, and with it
+the jump target, is the same as over the full set, and the scan stops at the
+first occupancy that starts after the candidate has left the zone.  These
+skips are exact for finite times, so the entry points reject what a
+`Scenario` rejects.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -35,6 +39,8 @@ from typing import Optional
 from .geometry import IntersectionLayout, LaneId, Movement
 from .protocol import CrossingProtocol, Occupancy, ProtocolEntry
 from .trajectory import CubicTrajectory, VehicleParams, solve_boundary
+from .trajectory import _absolute_coefficients, _boundary_cubic, _cubic_extrema
+from .trajectory import _invert, _require_monotone
 
 # Margin by which planned extrema stay inside the hard bounds, and the
 # minimum slack demanded from the safety constraints.  The bound margin keeps
@@ -96,6 +102,8 @@ class PlanRequest:
     params: VehicleParams
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.t0):
+            raise ValueError(f"arrival time {self.t0} must be finite")
         if not self.params.v_min <= self.v0 <= self.params.v_max:
             raise ValueError(
                 f"arrival speed {self.v0} outside "
@@ -125,6 +133,10 @@ class PlanResult:
 # Safety predicates
 # ---------------------------------------------------------------------------
 
+# Coefficients (a3, a2, a1, a0) of a cubic in absolute time.
+_Coefficients = tuple[float, float, float, float]
+
+
 def _shift_cubic(coeffs: tuple[float, float, float, float], origin: float):
     """Re-center an absolute-time cubic at `origin` (Taylor coefficients)."""
     a3, a2, a1, a0 = coeffs
@@ -144,14 +156,26 @@ def rear_end_margin(
     or at a root of its quadratic derivative.  Returns +inf when the two
     windows do not overlap.
     """
-    lo = max(candidate.t0, leader.t0)
-    hi = min(candidate.tf, leader.tf)
+    lead = leader.trajectory
+    return _rear_end_margin(
+        candidate.absolute_coefficients(), candidate.t0, candidate.tf,
+        lead.absolute_coefficients(), lead.t0, lead.tf, params,
+    )
+
+
+def _rear_end_margin(
+    pi: _Coefficients, t0: float, tf: float,
+    pk: _Coefficients, lead_t0: float, lead_tf: float,
+    params: VehicleParams,
+) -> float:
+    """`rear_end_margin` on absolute-time coefficients and windows: the
+    follower's (`pi` over [t0, tf]) and the leader's (`pk`)."""
+    lo = max(t0, lead_t0)
+    hi = min(tf, lead_tf)
     if hi < lo:
         return math.inf
     xi = params.reaction_gain
     rho = params.headway
-    pk = leader.trajectory.absolute_coefficients()
-    pi = candidate.absolute_coefficients()
     # The follower speed polynomial is 3*a3*t^2 + 2*a2*t + a1.
     g3 = xi * (pk[0] - pi[0])
     g2 = xi * (pk[1] - pi[1]) - rho * 3.0 * pi[0]
@@ -248,10 +272,10 @@ def _bounds_lower_bracket(v0: float, s_total: float, caps: VehicleParams) -> flo
     return max(t_speed, t_accel)
 
 
-def _within_caps(traj: CubicTrajectory, caps: VehicleParams) -> bool:
-    """Whether the trajectory's speed and acceleration stay inside `caps`;
-    equal to `traj.feasibility(caps).ok`."""
-    min_speed, max_speed, min_accel, max_accel = traj.extrema
+def _within_caps(extrema: tuple[float, ...], caps: VehicleParams) -> bool:
+    """Whether speed and acceleration extrema stay inside `caps`; for a
+    trajectory's `extrema`, equal to `traj.feasibility(caps).ok`."""
+    min_speed, max_speed, min_accel, max_accel = extrema
     return (
         caps.v_min <= min_speed
         and max_speed <= caps.v_max
@@ -262,12 +286,15 @@ def _within_caps(traj: CubicTrajectory, caps: VehicleParams) -> bool:
 
 @dataclass
 class _SearchContext:
+    """One lane's search; its probes build no trajectory (module docstring)."""
+
     request: PlanRequest
     s_total: float
     window_entry: float
     window_exit: float
     caps: VehicleParams
-    leader: Optional[ProtocolEntry]
+    # The lane leader's absolute-time coefficients, t0 and tf, if any.
+    leader: Optional[tuple[_Coefficients, float, float]]
     conflicting: list[Occupancy]
     lateral_buffer: float
     min_zone_entry: Optional[float]
@@ -278,16 +305,20 @@ class _SearchContext:
         Returns (ok, failed-constraint, zone-entry target to jump past).
         """
         req = self.request
-        traj = solve_boundary(req.v0, self.s_total, req.t0, tf)
-        if not _within_caps(traj, self.caps):
+        v0, t0, s_total = req.v0, req.t0, self.s_total
+        c3, c2, T = _boundary_cubic(v0, s_total, t0, tf)
+        extrema = _cubic_extrema(c3, c2, v0, T)
+        if not _within_caps(extrema, self.caps):
             return False, _Fail.BOUNDS, None
-        t_in = traj.invert(self.window_entry)
+        _require_monotone(extrema[0])
+        t_in = _invert(c3, c2, v0, t0, tf, s_total, self.window_entry)
         if self.min_zone_entry is not None and t_in < self.min_zone_entry - SAFETY_SLACK:
             return False, _Fail.ORDER, self.min_zone_entry
         if self.leader is not None:
-            if rear_end_margin(traj, self.leader, req.params) < SAFETY_SLACK:
+            coeffs = _absolute_coefficients(c3, c2, v0, 0.0, t0)
+            if _rear_end_margin(coeffs, t0, tf, *self.leader, req.params) < SAFETY_SLACK:
                 return False, _Fail.REAR_END, None
-        t_out = traj.invert(self.window_exit)
+        t_out = _invert(c3, c2, v0, t0, tf, s_total, self.window_exit)
         for occ in self.conflicting:
             if t_out + self.lateral_buffer < occ.t_in - SAFETY_SLACK:
                 # Sorted by entry time: every later occupancy starts after
@@ -298,8 +329,10 @@ class _SearchContext:
         return True, None, None
 
     def zone_entry(self, tf: float) -> float:
-        traj = solve_boundary(self.request.v0, self.s_total, self.request.t0, tf)
-        return traj.invert(self.window_entry)
+        v0, t0 = self.request.v0, self.request.t0
+        c3, c2, T = _boundary_cubic(v0, self.s_total, t0, tf)
+        _require_monotone(_cubic_extrema(c3, c2, v0, T)[0])
+        return _invert(c3, c2, v0, t0, tf, self.s_total, self.window_entry)
 
 
 def _make_context(
@@ -311,15 +344,20 @@ def _make_context(
     min_zone_entry: Optional[float],
 ) -> _SearchContext:
     window = layout.merging_window(request.movement)
-    leader = protocol.predecessor_on_lane(lane, request.movement.origin, request.t0)
+    lead = protocol.predecessor_on_lane(lane, request.movement.origin, request.t0)
+    leader = None if lead is None else (
+        lead.trajectory.absolute_coefficients(), lead.t0, lead.tf
+    )
     # Every candidate enters the zone at t_in >= t0, so an occupancy dropped
     # here passes the check's `t_in - buffer > t_out + slack` for all of them.
+    # Per conflicting movement, the occupancies before the first whose running
+    # maximum exit time (plus slack) reaches `earliest` are all dropped.
     earliest = request.t0 - lateral_buffer
-    conflicting = [
-        occ
-        for occ in protocol.conflicting_occupancies(request.movement)
-        if not earliest > occ.t_out + SAFETY_SLACK
-    ]
+    conflicting: list[Occupancy] = []
+    for filed in protocol.conflicting_filed(request.movement):
+        start = bisect_left(filed.latest, earliest, key=lambda t_out: t_out + SAFETY_SLACK)
+        conflicting += [o for o in filed.items[start:] if not earliest > o.t_out + SAFETY_SLACK]
+    conflicting.sort()
     return _SearchContext(
         request=request,
         s_total=layout.total_distance(request.movement),
@@ -400,6 +438,17 @@ def _search_min_tf(
 # Public planning API
 # ---------------------------------------------------------------------------
 
+def _check_options(lateral_buffer: float, horizon_cap: float = DEFAULT_HORIZON_CAP) -> None:
+    """Reject a search option that a `Scenario` would reject."""
+    for name, value in (("lateral_buffer", lateral_buffer), ("horizon_cap", horizon_cap)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+    if lateral_buffer < 0:
+        raise ValueError("lateral_buffer must be non-negative")
+    if horizon_cap <= 0:
+        raise ValueError("horizon_cap must be positive")
+
+
 def feasible_tf(
     request: PlanRequest,
     lane: LaneId,
@@ -415,6 +464,7 @@ def feasible_tf(
     Exposed so independent searches (e.g. brute-force verification) can use
     exactly the predicate the planner optimizes over.
     """
+    _check_options(lateral_buffer)
     if tf <= request.t0:
         return False
     ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
@@ -432,6 +482,7 @@ def min_feasible_tf(
     min_zone_entry: Optional[float] = None,
 ) -> Optional[float]:
     """Smallest feasible exit time on one lane, or None within the horizon."""
+    _check_options(lateral_buffer, horizon_cap)
     if lane not in layout.allowed_lanes(request.movement):
         raise ValueError(f"lane {lane} not admissible for movement {request.movement}")
     ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
@@ -454,6 +505,7 @@ def plan(
     earlier-registered vehicle does (strict entry-order queue).  Ties between
     lanes break toward the lowest lane index.
     """
+    _check_options(lateral_buffer, horizon_cap)
     min_zone_entry: Optional[float] = None
     if Policy(policy) is Policy.FIFO:
         min_zone_entry = protocol.latest_zone_entry

@@ -7,17 +7,20 @@ their vehicle exits (metrics need them) but drop out of the active set.
 Reads are assumed instantaneous and exact.
 
 Registration computes each entry's merging-zone occupancy once and files it
-under the entry's movement, so a conflict query looks up movement pairs
-(at most twelve) rather than every registered entry, and keeps the latest
-zone entry time as a running maximum for the first-in-first-out bound.
+under the entry's movement, and files the entry under its lane.  Each file
+keeps a running maximum of its occupancies' zone exit times or its entries'
+end times, so a query can bisect past the prefix that has ended.
+Conflicting movements are looked up once per protocol, and the latest zone
+entry time is kept as a running maximum for the first-in-first-out bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .geometry import Cardinal, IntersectionLayout, LaneId, Movement, conflicts
+from .geometry import ALL_MOVEMENTS, Cardinal, IntersectionLayout, LaneId, Movement, conflicts
 from .trajectory import CubicTrajectory
 
 
@@ -50,6 +53,18 @@ class Occupancy(NamedTuple):
     t_out: float
 
 
+class Filed(NamedTuple):
+    """Items in registration order and the running maximum of a time of
+    each: `latest[i]` is the largest time among `items[:i + 1]`."""
+
+    items: list
+    latest: list[float]
+
+    def add(self, item, time: float) -> None:
+        self.items.append(item)
+        self.latest.append(max(self.latest[-1], time) if self.latest else time)
+
+
 class CrossingProtocol:
     """Append-only registry of protocol entries for one intersection."""
 
@@ -58,7 +73,13 @@ class CrossingProtocol:
         self._entries: list[ProtocolEntry] = []
         self._by_id: dict[str, ProtocolEntry] = {}
         self._occupancy: dict[str, Occupancy] = {}
-        self._occupancy_by_movement: dict[Movement, list[Occupancy]] = {}
+        self._by_lane: dict[LaneId, Filed] = {}  # entries, keyed on tf
+        # Occupancies, keyed on t_out, and the occupancies each movement meets.
+        self._by_movement = {m: Filed([], []) for m in ALL_MOVEMENTS}
+        self._conflicting = {
+            m: tuple(f for other, f in self._by_movement.items() if conflicts(m, other))
+            for m in ALL_MOVEMENTS
+        }
         self._latest_zone_entry: Optional[float] = None
 
     def __len__(self) -> int:
@@ -96,7 +117,8 @@ class CrossingProtocol:
         self._entries.append(entry)
         self._by_id[entry.vehicle_id] = entry
         self._occupancy[entry.vehicle_id] = occ
-        self._occupancy_by_movement.setdefault(entry.movement, []).append(occ)
+        self._by_lane.setdefault(entry.lane, Filed([], [])).add(entry, entry.tf)
+        self._by_movement[entry.movement].add(occ, occ.t_out)
         if self._latest_zone_entry is None or occ.t_in > self._latest_zone_entry:
             self._latest_zone_entry = occ.t_in
 
@@ -112,12 +134,16 @@ class CrossingProtocol:
     def predecessor_on_lane(
         self, lane: LaneId, approach: Cardinal, t: float
     ) -> Optional[ProtocolEntry]:
-        """Nearest active vehicle ahead on the given approach lane at time t."""
+        """Nearest active vehicle ahead on the given approach lane at time t;
+        entries whose running maximum end time is below `t` are skipped."""
         if self.layout.lane_approach(lane) != approach:
             raise ValueError(f"lane {lane} does not belong to approach {approach.value}")
+        filed = self._by_lane.get(lane)
+        if filed is None:
+            return None
         best: Optional[ProtocolEntry] = None
         best_pos = float("inf")
-        for entry in self._entries:
+        for entry in filed.items[bisect_left(filed.latest, t):]:
             if entry.movement.origin != approach:
                 continue
             if not entry.t0 <= t <= entry.tf:
@@ -138,14 +164,16 @@ class CrossingProtocol:
                 f"vehicle {entry.vehicle_id!r} is not registered with this protocol"
             ) from None
 
+    def conflicting_filed(self, movement: Movement) -> tuple[Filed, ...]:
+        """The filed occupancies of each movement that conflicts with
+        `movement`, keyed on their zone exit times."""
+        return self._conflicting[movement]
+
     def conflicting_occupancies(self, movement: Movement) -> list[Occupancy]:
         """Merging occupancies of every entry whose movement conflicts with
         `movement`, sorted by entry then exit time."""
         return sorted(
-            occ
-            for other, occupancies in self._occupancy_by_movement.items()
-            if conflicts(movement, other)
-            for occ in occupancies
+            occ for filed in self.conflicting_filed(movement) for occ in filed.items
         )
 
     def to_records(self) -> list[dict]:

@@ -28,6 +28,7 @@ from .planner import (
     PlanResult,
     PlanningError,
     Policy,
+    _check_options,
     lateral_separation,
     plan,
 )
@@ -78,15 +79,11 @@ class Scenario:
     def __post_init__(self) -> None:
         # A plain "fifo" string would otherwise be planned as optimal.
         object.__setattr__(self, "policy", Policy(self.policy))
-        for name in ("dt", "lateral_buffer", "horizon_cap"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.dt):
+            raise ValueError("dt must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.lateral_buffer < 0:
-            raise ValueError("lateral_buffer must be non-negative")
-        if self.horizon_cap <= 0:
-            raise ValueError("horizon_cap must be positive")
+        _check_options(self.lateral_buffer, self.horizon_cap)
         seen: set[str] = set()
         prev = -math.inf
         for arrival in self.arrivals:

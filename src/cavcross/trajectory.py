@@ -7,6 +7,9 @@ law.  This module constructs that cubic from boundary data, evaluates and
 inverts it, checks it against speed/acceleration bounds, and computes the
 control cost.  Time is kept relative to the entry instant for numerical
 conditioning; all public methods accept and return absolute times.
+
+The arithmetic lives in private float kernels, which `CubicTrajectory` and
+`solve_boundary` call after validating and the planner's probes call directly.
 """
 
 from __future__ import annotations
@@ -150,12 +153,10 @@ class CubicTrajectory:
         if abs(self.c0) > 1e-9:
             raise ValueError("entry position must be zero")
         T = self.tf - self.t0
-        end = ((self.c3 * T + self.c2) * T + self.c1) * T + self.c0
-        if abs(end - self.s_total) > max(1e-6, 1e-9 * self.s_total):
-            raise ValueError(
-                f"terminal position {end} inconsistent with s_total {self.s_total}"
-            )
-        object.__setattr__(self, "extrema", self._extrema())
+        _check_terminal_position(self.c3, self.c2, self.c1, self.c0, T, self.s_total)
+        object.__setattr__(
+            self, "extrema", Extrema(*_cubic_extrema(self.c3, self.c2, self.c1, T))
+        )
 
     # -- basic evaluation ----------------------------------------------------
 
@@ -180,42 +181,9 @@ class CubicTrajectory:
 
     def absolute_coefficients(self) -> tuple[float, float, float, float]:
         """Coefficients (a3, a2, a1, a0) of the same cubic in absolute time."""
-        a = self.t0
-        a3 = self.c3
-        a2 = self.c2 - 3.0 * self.c3 * a
-        a1 = self.c1 - 2.0 * self.c2 * a + 3.0 * self.c3 * a * a
-        a0 = self.c0 - self.c1 * a + self.c2 * a * a - self.c3 * a**3
-        return (a3, a2, a1, a0)
+        return _absolute_coefficients(self.c3, self.c2, self.c1, self.c0, self.t0)
 
     # -- extrema, monotonicity and inversion ----------------------------------
-
-    def _speed_vertex(self) -> Optional[float]:
-        """Offset of the speed parabola's vertex if it lies inside the window."""
-        if self.c3 != 0.0:
-            vertex = -self.c2 / (3.0 * self.c3)
-            if 0.0 < vertex < self.duration:
-                return vertex
-        return None
-
-    def _extrema(self) -> Extrema:
-        """Exact speed and acceleration extrema over the window.
-
-        Speed is quadratic in time, so its extrema lie at the endpoints or at
-        an interior vertex; acceleration is linear, so its extrema lie at
-        the endpoints.  The values are those `_pva` gives at these offsets.
-        """
-        c3, c2, c1 = self.c3, self.c2, self.c1
-        T = self.duration
-        v_start = (3.0 * c3 * 0.0 + 2.0 * c2) * 0.0 + c1
-        v_end = (3.0 * c3 * T + 2.0 * c2) * T + c1
-        min_speed, max_speed = min(v_start, v_end), max(v_start, v_end)
-        vertex = self._speed_vertex()
-        if vertex is not None:
-            v_vertex = (3.0 * c3 * vertex + 2.0 * c2) * vertex + c1
-            min_speed, max_speed = min(min_speed, v_vertex), max(max_speed, v_vertex)
-        a_start = 6.0 * c3 * 0.0 + 2.0 * c2
-        a_end = 6.0 * c3 * T + 2.0 * c2
-        return Extrema(min_speed, max_speed, min(a_start, a_end), max(a_start, a_end))
 
     @property
     def is_monotone(self) -> bool:
@@ -228,42 +196,12 @@ class CubicTrajectory:
         Safeguarded Newton iteration bracketed by bisection; the trajectory
         must be strictly forward-moving so the inverse is unique.
         """
-        if not self.is_monotone:
-            raise NonMonotoneError("cannot invert a non-monotone trajectory")
+        _require_monotone(self.extrema.min_speed)
         if position < -1e-9 or position > self.s_total + 1e-9:
             raise OutOfDomainError(
                 f"position {position} outside [0, {self.s_total}]"
             )
-        position = min(max(position, 0.0), self.s_total)
-        T = self.duration
-        if position == 0.0:
-            return self.t0
-        if position == self.s_total:
-            return self.tf
-        c3, c2, c1 = self.c3, self.c2, self.c1
-        step_tol = _INVERT_TOL * max(1.0, T)
-        lo, hi = 0.0, T
-        tau = T * position / self.s_total
-        for _ in range(100):
-            err = ((c3 * tau + c2) * tau + c1) * tau - position
-            speed = (3.0 * c3 * tau + 2.0 * c2) * tau + c1
-            if err > 0.0:
-                hi = tau
-            else:
-                lo = tau
-            if speed > 0.0:
-                delta = err / speed
-                if abs(delta) <= step_tol:
-                    tau = min(max(tau - delta, 0.0), T)
-                    break
-                candidate = tau - delta
-                tau = candidate if lo < candidate < hi else 0.5 * (lo + hi)
-            else:
-                tau = 0.5 * (lo + hi)
-            if hi - lo <= step_tol:
-                tau = 0.5 * (lo + hi)
-                break
-        return self.t0 + tau
+        return _invert(self.c3, self.c2, self.c1, self.t0, self.tf, self.s_total, position)
 
     def inverse_cubic_fit(self, samples: int = 101) -> InverseFit:
         """Cubic-in-position least-squares fit of the inverted motion law."""
@@ -283,7 +221,7 @@ class CubicTrajectory:
         """Exact bound check against the extrema (see `extrema`)."""
         min_speed, max_speed, min_accel, max_accel = self.extrema
         T = self.duration
-        vertex = self._speed_vertex()
+        vertex = _speed_vertex(self.c3, self.c2, T)
         speed_taus = (0.0, T) if vertex is None else (0.0, T, vertex)
 
         def first_tau(taus, value, quantity):
@@ -341,7 +279,116 @@ def solve_boundary(v0: float, s_total: float, t0: float, tf: float) -> CubicTraj
         raise ValueError("entry speed must be positive")
     if s_total <= 0:
         raise ValueError("total distance must be positive")
+    c3, c2, _ = _boundary_cubic(v0, s_total, t0, tf)
+    return CubicTrajectory(c3, c2, v0, 0.0, t0, tf, s_total)
+
+
+# Float kernels (see the module docstring).
+
+def _boundary_cubic(
+    v0: float, s_total: float, t0: float, tf: float
+) -> tuple[float, float, float]:
+    """(c3, c2, T) of the boundary cubic (see `solve_boundary`), with the
+    horizon and terminal-position checks its `CubicTrajectory` makes."""
+    if not tf > t0:
+        raise InvalidHorizonError(f"tf={tf} must exceed t0={t0}")
     T = tf - t0
     c3 = (v0 * T - s_total) / (2.0 * T**3)
     c2 = 3.0 * (s_total - v0 * T) / (2.0 * T**2)
-    return CubicTrajectory(c3, c2, v0, 0.0, t0, tf, s_total)
+    _check_terminal_position(c3, c2, v0, 0.0, T, s_total)
+    return c3, c2, T
+
+
+def _check_terminal_position(
+    c3: float, c2: float, c1: float, c0: float, T: float, s_total: float
+) -> None:
+    end = ((c3 * T + c2) * T + c1) * T + c0
+    if abs(end - s_total) > max(1e-6, 1e-9 * s_total):
+        raise ValueError(f"terminal position {end} inconsistent with s_total {s_total}")
+
+
+def _speed_vertex(c3: float, c2: float, T: float) -> Optional[float]:
+    """Offset of the speed parabola's vertex if it lies inside (0, T)."""
+    if c3 != 0.0:
+        vertex = -c2 / (3.0 * c3)
+        if 0.0 < vertex < T:
+            return vertex
+    return None
+
+
+def _cubic_extrema(
+    c3: float, c2: float, c1: float, T: float
+) -> tuple[float, float, float, float]:
+    """Exact (min speed, max speed, min accel, max accel) over [0, T].
+
+    Speed is quadratic in time, so its extrema lie at the endpoints or at
+    an interior vertex; acceleration is linear, so its extrema lie at the
+    endpoints.  The values are those `CubicTrajectory.eval` gives there.
+    """
+    v_start = (3.0 * c3 * 0.0 + 2.0 * c2) * 0.0 + c1
+    v_end = (3.0 * c3 * T + 2.0 * c2) * T + c1
+    min_speed, max_speed = min(v_start, v_end), max(v_start, v_end)
+    vertex = _speed_vertex(c3, c2, T)
+    if vertex is not None:
+        v_vertex = (3.0 * c3 * vertex + 2.0 * c2) * vertex + c1
+        min_speed, max_speed = min(min_speed, v_vertex), max(max_speed, v_vertex)
+    a_start = 6.0 * c3 * 0.0 + 2.0 * c2
+    a_end = 6.0 * c3 * T + 2.0 * c2
+    return min_speed, max_speed, min(a_start, a_end), max(a_start, a_end)
+
+
+def _absolute_coefficients(
+    c3: float, c2: float, c1: float, c0: float, t0: float
+) -> tuple[float, float, float, float]:
+    """(a3, a2, a1, a0) of the cubic in tau = t - t0, re-expressed in t."""
+    a = t0
+    a3 = c3
+    a2 = c2 - 3.0 * c3 * a
+    a1 = c1 - 2.0 * c2 * a + 3.0 * c3 * a * a
+    a0 = c0 - c1 * a + c2 * a * a - c3 * a**3
+    return (a3, a2, a1, a0)
+
+
+def _require_monotone(min_speed: float) -> None:
+    """Raise unless speed stays strictly positive, as inverting requires."""
+    if not min_speed > 0.0:
+        raise NonMonotoneError("cannot invert a non-monotone trajectory")
+
+
+def _invert(
+    c3: float, c2: float, c1: float, t0: float, tf: float, s_total: float, position: float
+) -> float:
+    """Absolute time at `position` of a strictly forward-moving cubic with
+    c0 = 0, by safeguarded Newton iteration bracketed by bisection.
+
+    Returns `t0` and `tf` themselves at the two ends of the path.
+    """
+    position = min(max(position, 0.0), s_total)
+    T = tf - t0
+    if position == 0.0:
+        return t0
+    if position == s_total:
+        return tf
+    step_tol = _INVERT_TOL * max(1.0, T)
+    lo, hi = 0.0, T
+    tau = T * position / s_total
+    for _ in range(100):
+        err = ((c3 * tau + c2) * tau + c1) * tau - position
+        speed = (3.0 * c3 * tau + 2.0 * c2) * tau + c1
+        if err > 0.0:
+            hi = tau
+        else:
+            lo = tau
+        if speed > 0.0:
+            delta = err / speed
+            if abs(delta) <= step_tol:
+                tau = min(max(tau - delta, 0.0), T)
+                break
+            candidate = tau - delta
+            tau = candidate if lo < candidate < hi else 0.5 * (lo + hi)
+        else:
+            tau = 0.5 * (lo + hi)
+        if hi - lo <= step_tol:
+            tau = 0.5 * (lo + hi)
+            break
+    return t0 + tau

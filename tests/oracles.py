@@ -4,10 +4,12 @@ Each oracle deliberately avoids the code path it checks: boundary solving is
 redone as a dense linear system, extrema and safety margins by dense
 sampling, energy by quadrature, arc lengths by numeric integration, the
 planner's minimum exit time by brute-force grid search over the library's
-feasibility predicate, the planner's indexed and pruned search by the
-original full-scan search, and the run's sampled log and violations by the
-original per-step object loop, and the RK4 cross-check by its original
-scalar step loop.
+feasibility predicate, the planner's indexed and pruned search and its
+float probes by the original full-scan search (which builds a trajectory
+per probe and evaluates it with verbatim copies of the original methods),
+the protocol's indexed predecessor query by a scan of every entry, and the
+run's sampled log and violations by the original per-step object loop, and
+the RK4 cross-check by its original scalar step loop.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from cavcross import (
     Violation,
     conflicts,
     feasible_tf,
-    rear_end_margin,
+    plan,
     sample_zone_path,
-    solve_boundary,
 )
 from cavcross.planner import (
     _FAIL_TO_BINDING,
@@ -48,10 +49,19 @@ from cavcross.planner import (
     SAFETY_SLACK,
     _bounds_lower_bracket,
     _Fail,
+    _shift_cubic,
     _tightened_params,
 )
 from cavcross.simulation import IntegrationCheck
-from cavcross.trajectory import BoundViolation, FeasibilityReport
+from cavcross.trajectory import (
+    _INVERT_TOL,
+    BoundViolation,
+    Extrema,
+    FeasibilityReport,
+    InvalidHorizonError,
+    NonMonotoneError,
+    OutOfDomainError,
+)
 
 
 def solve_cubic_linear_system(v0: float, s_total: float, T: float) -> np.ndarray:
@@ -173,6 +183,40 @@ def grid_min_tf(
         k += 1
 
 
+def assert_same_outcome(call, reference) -> None:
+    """Both calls return the same bits (by `repr`), or raise the same
+    exception with the same message."""
+
+    def outcome(fn):
+        try:
+            return repr(fn())
+        except (ValueError, ArithmeticError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    assert outcome(call) == outcome(reference)
+
+
+def admitted_protocol(scenario) -> CrossingProtocol:
+    """Plan a scenario's arrivals in order with `plan` and register each
+    plan; a vehicle that cannot be planned is left out."""
+    protocol = CrossingProtocol(scenario.layout)
+    for a in scenario.arrivals:
+        request = PlanRequest(a.vehicle_id, a.movement, a.time, a.v0, a.params)
+        try:
+            result = plan(
+                request,
+                protocol,
+                scenario.layout,
+                policy=scenario.policy,
+                lateral_buffer=scenario.lateral_buffer,
+                horizon_cap=scenario.horizon_cap,
+            )
+        except PlanningError:
+            continue
+        protocol.register(ProtocolEntry(a.vehicle_id, result.trajectory, result.lane, a.movement))
+    return protocol
+
+
 def make_entry(
     vehicle_id: str,
     traj: CubicTrajectory,
@@ -201,6 +245,26 @@ def conflicting_occupancies_scan(
         for entry in protocol
         if conflicts(movement, entry.movement)
     )
+
+
+def predecessor_scan(
+    protocol: CrossingProtocol, lane: LaneId, approach, t: float
+) -> Optional[ProtocolEntry]:
+    """Nearest active vehicle ahead on an approach lane at time t, by
+    scanning every registered entry."""
+    best: Optional[ProtocolEntry] = None
+    best_pos = float("inf")
+    for entry in protocol:
+        if entry.movement.origin != approach:
+            continue
+        if not entry.t0 <= t <= entry.tf:
+            continue
+        if entry.lane != lane:
+            continue
+        pos = entry.trajectory.eval(t).position
+        if pos < best_pos:
+            best, best_pos = entry, pos
+    return best
 
 
 def min_speed_reference(traj: CubicTrajectory) -> float:
@@ -248,6 +312,139 @@ def feasibility_reference(traj: CubicTrajectory, params: VehicleParams) -> Feasi
     )
 
 
+# The trajectory methods as they were before their arithmetic moved into
+# float kernels, copied verbatim as functions of the trajectory; the search
+# below builds a trajectory per probe and evaluates it with these.
+
+def solve_boundary_reference(v0: float, s_total: float, t0: float, tf: float) -> CubicTrajectory:
+    if tf <= t0:
+        raise InvalidHorizonError(f"tf={tf} must exceed t0={t0}")
+    if v0 <= 0:
+        raise ValueError("entry speed must be positive")
+    if s_total <= 0:
+        raise ValueError("total distance must be positive")
+    T = tf - t0
+    c3 = (v0 * T - s_total) / (2.0 * T**3)
+    c2 = 3.0 * (s_total - v0 * T) / (2.0 * T**2)
+    return CubicTrajectory(c3, c2, v0, 0.0, t0, tf, s_total)
+
+
+def absolute_coefficients_reference(self: CubicTrajectory) -> tuple[float, float, float, float]:
+    """Coefficients (a3, a2, a1, a0) of the same cubic in absolute time."""
+    a = self.t0
+    a3 = self.c3
+    a2 = self.c2 - 3.0 * self.c3 * a
+    a1 = self.c1 - 2.0 * self.c2 * a + 3.0 * self.c3 * a * a
+    a0 = self.c0 - self.c1 * a + self.c2 * a * a - self.c3 * a**3
+    return (a3, a2, a1, a0)
+
+
+def _speed_vertex_reference(self: CubicTrajectory) -> Optional[float]:
+    """Offset of the speed parabola's vertex if it lies inside the window."""
+    if self.c3 != 0.0:
+        vertex = -self.c2 / (3.0 * self.c3)
+        if 0.0 < vertex < self.duration:
+            return vertex
+    return None
+
+
+def extrema_reference(self: CubicTrajectory) -> Extrema:
+    """Exact speed and acceleration extrema over the window."""
+    c3, c2, c1 = self.c3, self.c2, self.c1
+    T = self.duration
+    v_start = (3.0 * c3 * 0.0 + 2.0 * c2) * 0.0 + c1
+    v_end = (3.0 * c3 * T + 2.0 * c2) * T + c1
+    min_speed, max_speed = min(v_start, v_end), max(v_start, v_end)
+    vertex = _speed_vertex_reference(self)
+    if vertex is not None:
+        v_vertex = (3.0 * c3 * vertex + 2.0 * c2) * vertex + c1
+        min_speed, max_speed = min(min_speed, v_vertex), max(max_speed, v_vertex)
+    a_start = 6.0 * c3 * 0.0 + 2.0 * c2
+    a_end = 6.0 * c3 * T + 2.0 * c2
+    return Extrema(min_speed, max_speed, min(a_start, a_end), max(a_start, a_end))
+
+
+def invert_reference(self: CubicTrajectory, position: float) -> float:
+    """Absolute time at which the vehicle is at `position`."""
+    if not extrema_reference(self).min_speed > 0.0:
+        raise NonMonotoneError("cannot invert a non-monotone trajectory")
+    if position < -1e-9 or position > self.s_total + 1e-9:
+        raise OutOfDomainError(
+            f"position {position} outside [0, {self.s_total}]"
+        )
+    position = min(max(position, 0.0), self.s_total)
+    T = self.duration
+    if position == 0.0:
+        return self.t0
+    if position == self.s_total:
+        return self.tf
+    c3, c2, c1 = self.c3, self.c2, self.c1
+    step_tol = _INVERT_TOL * max(1.0, T)
+    lo, hi = 0.0, T
+    tau = T * position / self.s_total
+    for _ in range(100):
+        err = ((c3 * tau + c2) * tau + c1) * tau - position
+        speed = (3.0 * c3 * tau + 2.0 * c2) * tau + c1
+        if err > 0.0:
+            hi = tau
+        else:
+            lo = tau
+        if speed > 0.0:
+            delta = err / speed
+            if abs(delta) <= step_tol:
+                tau = min(max(tau - delta, 0.0), T)
+                break
+            candidate = tau - delta
+            tau = candidate if lo < candidate < hi else 0.5 * (lo + hi)
+        else:
+            tau = 0.5 * (lo + hi)
+        if hi - lo <= step_tol:
+            tau = 0.5 * (lo + hi)
+            break
+    return self.t0 + tau
+
+
+def rear_end_margin_reference(
+    candidate: CubicTrajectory, leader: ProtocolEntry, params: VehicleParams
+) -> float:
+    """Worst value of scaled_gap - safe_distance over the shared time window."""
+    lo = max(candidate.t0, leader.t0)
+    hi = min(candidate.tf, leader.tf)
+    if hi < lo:
+        return math.inf
+    xi = params.reaction_gain
+    rho = params.headway
+    pk = absolute_coefficients_reference(leader.trajectory)
+    pi = absolute_coefficients_reference(candidate)
+    # The follower speed polynomial is 3*a3*t^2 + 2*a2*t + a1.
+    g3 = xi * (pk[0] - pi[0])
+    g2 = xi * (pk[1] - pi[1]) - rho * 3.0 * pi[0]
+    g1 = xi * (pk[2] - pi[2]) - rho * 2.0 * pi[1]
+    g0 = xi * (pk[3] - pi[3]) - rho * pi[2] - params.standstill_gap
+    # Re-center on the overlap start to limit cancellation at large t.
+    g3, g2, g1, g0 = _shift_cubic((g3, g2, g1, g0), lo)
+    span = hi - lo
+
+    def g(s: float) -> float:
+        return ((g3 * s + g2) * s + g1) * s + g0
+
+    values = [g(0.0), g(span)]
+    # Stationary points of the cubic: roots of 3*g3*s^2 + 2*g2*s + g1.
+    qa, qb, qc = 3.0 * g3, 2.0 * g2, g1
+    if abs(qa) > 0.0:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            for root in ((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)):
+                if 0.0 < root < span:
+                    values.append(g(root))
+    elif abs(qb) > 0.0:
+        root = -qc / qb
+        if 0.0 < root < span:
+            values.append(g(root))
+    return min(values)
+
+
 @dataclass
 class _SearchContext:
     request: PlanRequest
@@ -266,16 +463,16 @@ class _SearchContext:
         Returns (ok, failed-constraint, zone-entry target to jump past).
         """
         req = self.request
-        traj = solve_boundary(req.v0, self.s_total, req.t0, tf)
+        traj = solve_boundary_reference(req.v0, self.s_total, req.t0, tf)
         if not feasibility_reference(traj, self.caps).ok:
             return False, _Fail.BOUNDS, None
-        t_in = traj.invert(self.window_entry)
+        t_in = invert_reference(traj, self.window_entry)
         if self.min_zone_entry is not None and t_in < self.min_zone_entry - SAFETY_SLACK:
             return False, _Fail.ORDER, self.min_zone_entry
         if self.leader is not None:
-            if rear_end_margin(traj, self.leader, req.params) < SAFETY_SLACK:
+            if rear_end_margin_reference(traj, self.leader, req.params) < SAFETY_SLACK:
                 return False, _Fail.REAR_END, None
-        t_out = traj.invert(self.window_exit)
+        t_out = invert_reference(traj, self.window_exit)
         for occ in self.conflicting:
             separated = (
                 t_out + self.lateral_buffer < occ.t_in - SAFETY_SLACK
@@ -286,8 +483,8 @@ class _SearchContext:
         return True, None, None
 
     def zone_entry(self, tf: float) -> float:
-        traj = solve_boundary(self.request.v0, self.s_total, self.request.t0, tf)
-        return traj.invert(self.window_entry)
+        traj = solve_boundary_reference(self.request.v0, self.s_total, self.request.t0, tf)
+        return invert_reference(traj, self.window_entry)
 
 
 def _make_context(
@@ -299,7 +496,7 @@ def _make_context(
     min_zone_entry: Optional[float],
 ) -> _SearchContext:
     window = layout.merging_window(request.movement)
-    leader = protocol.predecessor_on_lane(lane, request.movement.origin, request.t0)
+    leader = predecessor_scan(protocol, lane, request.movement.origin, request.t0)
     return _SearchContext(
         request=request,
         s_total=layout.total_distance(request.movement),
@@ -353,7 +550,7 @@ def _search_min_tf(
         ok, fail, zone_target = ctx.check(tf)
         if ok:
             if last_bad is None:
-                traj = solve_boundary(v0, s_total, req.t0, tf)
+                traj = solve_boundary_reference(v0, s_total, req.t0, tf)
                 return tf, traj, BindingConstraint.BOUNDS
             lo, hi = last_bad, tf
             fail_at_lo = last_fail
@@ -364,7 +561,7 @@ def _search_min_tf(
                     hi = mid
                 else:
                     lo, fail_at_lo = mid, fail_mid
-            traj = solve_boundary(v0, s_total, req.t0, hi)
+            traj = solve_boundary_reference(v0, s_total, req.t0, hi)
             return hi, traj, _FAIL_TO_BINDING[fail_at_lo]
         nxt = tf + DEFAULT_RESOLUTION
         if zone_target is not None and tf < jump_hi:

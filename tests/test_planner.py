@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavcross import (
+    ALL_MOVEMENTS,
     BindingConstraint,
     Cardinal,
     CrossingProtocol,
@@ -19,11 +20,13 @@ from cavcross import (
     generate_random_scenario,
     lateral_ok,
     min_feasible_tf,
+    feasible_tf,
     plan,
     rear_end_margin,
     rear_end_ok,
     solve_boundary,
 )
+from cavcross.planner import SAFETY_SLACK, _make_context
 
 import oracles
 
@@ -512,3 +515,153 @@ class TestPlanMatchesReferenceSearch:
             seed=seed, n_vehicles=n_vehicles, mean_gap=mean_gap, policy=policy
         )
         assert _plan_stream_against_reference(scenario) > 0
+
+
+@st.composite
+def probe_contexts(draw):
+    """A request with its lane, a protocol of hand-built entries around it
+    (a same-approach leader or none, and up to ten from other approaches), a lateral buffer
+    of 0-1 s and a first-in-first-out bound or none."""
+    layout = IntersectionLayout()
+    params = VehicleParams()
+    movement = draw(st.sampled_from(ALL_MOVEMENTS))
+    lane = layout.allowed_lanes(movement)[0]
+    t0 = draw(st.floats(0.0, 100.0))
+    speeds = st.floats(params.v_min, params.v_max)
+    # Horizons below 3*s/v0 keep every registered entry forward-moving.
+    ratios = st.floats(0.6, 2.5)
+    protocol = CrossingProtocol(layout)
+
+    def register(vehicle_id, m, start, v0, ratio):
+        s = layout.total_distance(m)
+        traj = solve_boundary(v0, s, start, start + ratio * s / v0)
+        protocol.register(oracles.make_entry(vehicle_id, traj, m, layout.allowed_lanes(m)[0]))
+
+    if draw(st.booleans()):
+        same_approach = [m for m in ALL_MOVEMENTS if m.origin == movement.origin]
+        start = t0 - draw(st.floats(0.0, 6.0))
+        register("leader", draw(st.sampled_from(same_approach)), start, draw(speeds), draw(ratios))
+    crossing = [m for m in ALL_MOVEMENTS if m.origin != movement.origin]
+    others = draw(
+        st.lists(
+            st.tuples(st.sampled_from(crossing), st.floats(-20.0, 20.0), speeds, ratios),
+            max_size=10,
+        )
+    )
+    for i, (m, offset, v0, ratio) in enumerate(others):
+        register(f"o{i}", m, t0 + offset, v0, ratio)
+    req = PlanRequest("x", movement, t0, draw(speeds), params)
+    lateral_buffer = draw(st.floats(0.0, 1.0))
+    min_zone_entry = draw(st.one_of(st.none(), st.floats(t0, t0 + 30.0)))
+    return req, lane, protocol, layout, lateral_buffer, min_zone_entry
+
+
+class TestProbeMatchesReference:
+    """One probe of the search (`check` and `zone_entry`) gives the bits, or
+    the exception, of the original search's probe, which builds a
+    trajectory and evaluates it with the original methods."""
+
+    @settings(max_examples=150)
+    @given(
+        context=probe_contexts(),
+        # Multiples of s/v0: past 2 the zone entry time no longer grows
+        # with tf, past 3 the cubic runs backward, at or below 0 tf <= t0.
+        ratios=st.lists(
+            st.one_of(st.floats(-0.1, 4.0), st.floats(0.6, 2.2)), min_size=1, max_size=12
+        ),
+    )
+    def test_drawn_contexts(self, context, ratios):
+        req, lane, protocol, layout, lateral_buffer, min_zone_entry = context
+        args = (req, lane, protocol, layout, lateral_buffer, min_zone_entry)
+        probe, reference = _make_context(*args), oracles._make_context(*args)
+        assert (probe.leader is None) == (reference.leader is None)
+        s_over_v = layout.total_distance(req.movement) / req.v0
+        for ratio in ratios:
+            tf = req.t0 + ratio * s_over_v
+            oracles.assert_same_outcome(lambda: probe.check(tf), lambda: reference.check(tf))
+            oracles.assert_same_outcome(
+                lambda: probe.zone_entry(tf), lambda: reference.zone_entry(tf)
+            )
+
+
+class TestLiveOccupancies:
+    """The occupancies a search checks are today's filter (those the
+    arrival can still meet) over the full conflicting list, in order."""
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_vehicles=st.integers(1, 40),
+        mean_gap=st.floats(1.5, 4.0),
+        lanes=st.integers(1, 2),
+        lateral_buffer=st.floats(0.0, 1.0),
+        queries=st.lists(st.floats(-20.0, 250.0), max_size=8),
+    )
+    def test_equal_filter_over_conflicting_occupancies(
+        self, seed, n_vehicles, mean_gap, lanes, lateral_buffer, queries
+    ):
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=n_vehicles,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            mean_gap=mean_gap,
+        )
+        layout = scenario.layout
+        protocol = oracles.admitted_protocol(scenario)
+        occupancies = [protocol.merging_occupancy(e) for e in protocol]
+        times = [*queries, *(o.t_out - lateral_buffer for o in occupancies)]
+        for t0 in times:
+            earliest = t0 - lateral_buffer
+            for movement in ALL_MOVEMENTS:
+                req = PlanRequest("q", movement, t0, 10.0, VehicleParams())
+                ctx = _make_context(
+                    req, layout.allowed_lanes(movement)[0], protocol, layout, lateral_buffer, None
+                )
+                assert ctx.conflicting == [
+                    occ
+                    for occ in protocol.conflicting_occupancies(movement)
+                    if not earliest > occ.t_out + SAFETY_SLACK
+                ]
+
+
+class TestOptionValidation:
+    """The planner API rejects, with ValueError, the options and arrival
+    times that `Scenario` rejects."""
+
+    BAD_BUFFERS = [-0.1, -math.inf, math.nan, math.inf]
+    BAD_CAPS = [0.0, -5.0, math.nan, math.inf]
+
+    @pytest.mark.parametrize("lateral_buffer", BAD_BUFFERS)
+    def test_lateral_buffer(self, layout, lateral_buffer):
+        protocol = CrossingProtocol(layout)
+        req, lane = request(), layout.allowed_lanes(WE)[0]
+        with pytest.raises(ValueError, match="lateral_buffer"):
+            plan(req, protocol, layout, lateral_buffer=lateral_buffer)
+        with pytest.raises(ValueError, match="lateral_buffer"):
+            min_feasible_tf(req, lane, protocol, layout, lateral_buffer=lateral_buffer)
+        with pytest.raises(ValueError, match="lateral_buffer"):
+            feasible_tf(req, lane, 30.0, protocol, layout, lateral_buffer=lateral_buffer)
+
+    @pytest.mark.parametrize("horizon_cap", BAD_CAPS)
+    def test_horizon_cap(self, layout, horizon_cap):
+        protocol = CrossingProtocol(layout)
+        req, lane = request(), layout.allowed_lanes(WE)[0]
+        with pytest.raises(ValueError, match="horizon_cap"):
+            plan(req, protocol, layout, horizon_cap=horizon_cap)
+        with pytest.raises(ValueError, match="horizon_cap"):
+            min_feasible_tf(req, lane, protocol, layout, horizon_cap=horizon_cap)
+
+    def test_negative_buffer_would_admit_overlapping_occupancies(self, layout):
+        # The N->S vehicle occupies the zone over [12.5, 15.0].  With a
+        # buffer of -1 s, the W->E vehicle's fastest plan, which occupies it
+        # over ~[11.5, 13.0], would pass the lateral check.
+        protocol = CrossingProtocol(layout)
+        blocker = solve_boundary(10.0, 275.0, 0.0, 27.5)
+        protocol.register(oracles.make_entry("b", blocker, NS, layout.allowed_lanes(NS)[0]))
+        with pytest.raises(ValueError, match="lateral_buffer must be non-negative"):
+            plan(request(t0=2.2), protocol, layout, lateral_buffer=-1.0)
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_arrival_time(self, t0):
+        with pytest.raises(ValueError, match="finite"):
+            request(t0=t0)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavcross import (
     ALL_MOVEMENTS,
@@ -115,6 +117,50 @@ class TestPredecessorOnLane:
         lane_we = layout.allowed_lanes(Movement(W, E))[0]
         with pytest.raises(ValueError):
             protocol.predecessor_on_lane(lane_we, N, 0.0)
+
+    def test_slow_early_vehicle_keeps_later_ones_in_the_scan(self, layout):
+        # "slow" ends last, so every later entry's running maximum end time
+        # is its 68.75 s, not the entry's own end: none of them is skipped
+        # while "slow" is active.  The nearest vehicle ahead of an arrival
+        # is the one nearest the control-zone entry.
+        protocol = CrossingProtocol(layout)
+        lane = layout.allowed_lanes(Movement(W, E))[0]
+        protocol.register(constant_speed_entry("slow", lane, Movement(W, E), v0=4.0, t0=0.0))
+        protocol.register(constant_speed_entry("fast", lane, Movement(W, E), v0=16.0, t0=5.0))
+        protocol.register(constant_speed_entry("late", lane, Movement(W, E), v0=10.0, t0=30.0))
+        for t, expected in [(-1.0, None), (6.0, "fast"), (10.0, "slow"), (35.0, "late"),
+                            (60.0, "slow"), (68.75, "slow"), (69.0, None)]:
+            found = protocol.predecessor_on_lane(lane, W, t)
+            assert (found and found.vehicle_id) == expected, t
+            assert found is oracles.predecessor_scan(protocol, lane, W, t)
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_vehicles=st.integers(1, 40),
+        mean_gap=st.floats(1.5, 4.0),
+        lanes=st.integers(1, 2),
+        queries=st.lists(st.floats(-50.0, 400.0), max_size=10),
+    )
+    def test_matches_full_scan(self, seed, n_vehicles, mean_gap, lanes, queries):
+        """The indexed query finds the entry a scan of every entry finds:
+        before the first arrival, exactly at each entry's t0 and tf, long
+        after every exit, and at drawn times, queried out of time order."""
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=n_vehicles,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            mean_gap=mean_gap,
+        )
+        layout = scenario.layout
+        protocol = oracles.admitted_protocol(scenario)
+        edges = [t for e in protocol for t in (e.t0, e.tf)]
+        times = [*queries, -1e3, *reversed(edges), *edges, 1e4]
+        for lane in range(1, layout.lane_count + 1):
+            approach = layout.lane_approach(lane)
+            for t in times:
+                found = protocol.predecessor_on_lane(lane, approach, t)
+                assert found is oracles.predecessor_scan(protocol, lane, approach, t)
 
 
 class TestMergingOccupancy:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavcross import (
@@ -558,3 +558,69 @@ class TestThroughputBufferMonotonicity:
             assert result.ok
             throughputs.append(result.metrics.aggregate.throughput_per_min)
         assert throughputs[0] >= throughputs[1] >= throughputs[2]
+
+
+_CLOCKWISE = {N: E, E: S, S: W, W: N}
+
+
+def _turn(cardinal, quarter_turns):
+    for _ in range(quarter_turns):
+        cardinal = _CLOCKWISE[cardinal]
+    return cardinal
+
+
+def _decisions(scenario, quarter_turns=0):
+    """Each vehicle's repr(tf), binding constraint and lane, with the lane
+    mapped back by `quarter_turns` counter-clockwise; or the vehicle whose
+    planning failed."""
+    layout = scenario.layout
+    try:
+        _, plans = schedule(scenario)
+    except SimulationError as exc:
+        return exc.vehicle_id
+    decisions = {}
+    for vid, result in plans.items():
+        approach = layout.lane_approach(result.lane)
+        index = layout.lanes_for_approach(approach).index(result.lane)
+        lane = layout.lanes_for_approach(_turn(approach, 4 - quarter_turns))[index]
+        decisions[vid] = (repr(result.tf), result.binding_constraint, lane)
+    return decisions
+
+
+class TestCompassRotation:
+    """The intersection is symmetric under quarter turns: rotating every
+    movement, with lanes mapped along, changes no decision of `schedule`."""
+
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_vehicles=st.integers(1, 30),
+        mean_gap=st.floats(1.5, 4.0),
+        lanes=st.integers(1, 2),
+        quarter_turns=st.integers(1, 3),
+        policy=st.sampled_from(list(Policy)),
+    )
+    def test_rotated_stream_plans_identically(
+        self, seed, n_vehicles, mean_gap, lanes, quarter_turns, policy
+    ):
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=n_vehicles,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            mean_gap=mean_gap,
+            policy=policy,
+        )
+        rotated = dataclasses.replace(
+            scenario,
+            arrivals=tuple(
+                dataclasses.replace(
+                    a,
+                    movement=Movement(
+                        _turn(a.movement.origin, quarter_turns),
+                        _turn(a.movement.exit, quarter_turns),
+                    ),
+                )
+                for a in scenario.arrivals
+            ),
+        )
+        assert _decisions(rotated, quarter_turns) == _decisions(scenario)

@@ -288,7 +288,7 @@ def _assert_extrema_agree(traj, caps):
     assert traj.is_monotone == (oracles.min_speed_reference(traj) > 0.0)
     report = traj.feasibility(caps)
     assert report == oracles.feasibility_reference(traj, caps)
-    assert _within_caps(traj, caps) == report.ok
+    assert _within_caps(traj.extrema, caps) == report.ok
     assert tuple(traj.extrema) == (
         report.min_speed,
         report.max_speed,
@@ -338,7 +338,7 @@ class TestCachedExtrema:
         min_speed, max_speed, min_accel, max_accel = traj.extrema
         assert min_accel < 0.0 < max_accel
         at = VehicleParams(min_accel, max_accel, min_speed, max_speed)
-        assert _within_caps(traj, at)
+        assert _within_caps(traj.extrema, at)
         _assert_extrema_agree(traj, at)
         for nudged in (
             VehicleParams(min_accel, math.nextafter(max_accel, 0.0), min_speed, max_speed),
@@ -346,5 +346,63 @@ class TestCachedExtrema:
             VehicleParams(min_accel, max_accel, math.nextafter(min_speed, 99.0), max_speed),
             VehicleParams(min_accel, max_accel, min_speed, math.nextafter(max_speed, 0.0)),
         ):
-            assert not _within_caps(traj, nudged)
+            assert not _within_caps(traj.extrema, nudged)
             _assert_extrema_agree(traj, nudged)
+
+
+def _assert_kernels_match_copies(traj, fractions):
+    """Extrema, absolute coefficients and inverse give the bits of the
+    original methods (verbatim copies in `oracles`), at both ends of the
+    path and at the given fractions of it."""
+    assert repr(tuple(traj.extrema)) == repr(tuple(oracles.extrema_reference(traj)))
+    assert repr(traj.absolute_coefficients()) == repr(
+        oracles.absolute_coefficients_reference(traj)
+    )
+    for p in (0.0, traj.s_total, *(f * traj.s_total for f in fractions)):
+        oracles.assert_same_outcome(lambda: traj.invert(p), lambda: oracles.invert_reference(traj, p))
+    if traj.is_monotone:
+        assert repr(traj.invert(0.0)) == repr(traj.t0)
+        assert repr(traj.invert(traj.s_total)) == repr(traj.tf)
+
+
+class TestFloatKernelsMatchOriginalMethods:
+    """The float kernels that the methods and the planner's probes share give
+    exactly what the methods computed before the kernels were factored out."""
+
+    @given(
+        v0=st.floats(0.5, 20.0),
+        s_total=st.floats(5.0, 400.0),
+        ratio=st.floats(0.2, 3.5),
+        t0=st.floats(0.0, 3600.0),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=6),
+    )
+    # T = s/v0 exactly: c3 == 0.
+    @example(v0=10.0, s_total=275.0, ratio=1.0, t0=3.0, fractions=[0.5])
+    # Non-monotone: the inverse raises on both sides.
+    @example(v0=10.0, s_total=275.0, ratio=3.2, t0=0.0, fractions=[0.5])
+    def test_boundary_cubics(self, v0, s_total, ratio, t0, fractions):
+        tf = t0 + ratio * s_total / v0
+        oracles.assert_same_outcome(
+            lambda: solve_boundary(v0, s_total, t0, tf),
+            lambda: oracles.solve_boundary_reference(v0, s_total, t0, tf),
+        )
+        _assert_kernels_match_copies(solve_boundary(v0, s_total, t0, tf), fractions)
+
+    @given(
+        c3=st.floats(1e-4, 0.05),
+        vertex_at=st.floats(0.01, 0.99),
+        v_vertex=st.floats(0.5, 10.0),
+        T=st.floats(5.0, 40.0),
+        t0=st.floats(0.0, 3600.0),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=6),
+    )
+    @example(c3=0.01, vertex_at=0.5, v_vertex=7.0, T=20.0, t0=2.0, fractions=[0.5])
+    def test_interior_speed_vertex(self, c3, vertex_at, v_vertex, T, t0, fractions):
+        # v(tau) = 3*c3*(tau - vertex)^2 + v_vertex has its minimum inside.
+        vertex = vertex_at * T
+        c2 = -3.0 * c3 * vertex
+        c1 = 3.0 * c3 * vertex * vertex + v_vertex
+        s_total = ((c3 * T + c2) * T + c1) * T
+        traj = CubicTrajectory(c3, c2, c1, 0.0, t0, t0 + T, s_total)
+        assert traj.extrema.min_speed < min(traj.eval(traj.t0).speed, traj.eval(traj.tf).speed)
+        _assert_kernels_match_copies(traj, fractions)
