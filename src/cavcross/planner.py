@@ -286,7 +286,7 @@ def _within_caps(extrema: tuple[float, ...], caps: VehicleParams) -> bool:
 
 @dataclass
 class _SearchContext:
-    """One lane's search; its probes build no trajectory (module docstring)."""
+    """One lane's search: the arrival, what it must avoid, and the probes."""
 
     request: PlanRequest
     s_total: float

@@ -366,7 +366,7 @@ def extrema_reference(self: CubicTrajectory) -> Extrema:
 
 def invert_reference(self: CubicTrajectory, position: float) -> float:
     """Absolute time at which the vehicle is at `position`."""
-    if not extrema_reference(self).min_speed > 0.0:
+    if not self.is_monotone:
         raise NonMonotoneError("cannot invert a non-monotone trajectory")
     if position < -1e-9 or position > self.s_total + 1e-9:
         raise OutOfDomainError(
