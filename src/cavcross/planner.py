@@ -6,12 +6,22 @@ acceleration inside slightly tightened bounds, so the executed plan never
 rides a hard limit, (b) keeps the scaled gap to the lane predecessor at or
 above the speed-dependent safe distance at every instant, and (c) occupies
 the merging zone disjointly in time from every conflicting registered
-vehicle.  The search combines a closed-form bounds-only lower bracket, a
-fixed-resolution forward scan whose lateral rejections jump straight past
-the blocking occupancy, and a final bisection onto the feasibility boundary.
+vehicle.  Under the first-in-first-out policy the vehicle may, in
+addition, not enter the merging zone before any earlier-registered vehicle
+does.
 
-Under the first-in-first-out policy the vehicle may, in addition, not enter
-the merging zone before any earlier-registered vehicle does.
+The search lands on three edges in closed form and scans only where no
+closed form applies.  It starts at the bounds' edge: a closed-form
+bounds-only lower bracket, stepped up float by float to the first exit time
+the bounds admit.  A lateral or entry-order rejection names the zone-entry
+time the candidate must reach; while the entry time grows with the horizon
+(up to 2*s/v0), the horizons entering at that time and 2 slack earlier are
+roots of a cubic in the horizon, which the trajectory module's
+`_least_horizon_behind` finds to float resolution, and the search probes the
+first and bisects down to the second, a point the same constraint rejects.
+Elsewhere, as through rear-end rejections, it steps forward 1 ms at a time
+and bisects back onto the feasibility boundary after the first feasible
+step.
 
 Each probe does only the work that can change its verdict, in plain
 floats: the trajectory module's float kernels give it the bits, and the
@@ -40,7 +50,7 @@ from .geometry import IntersectionLayout, LaneId, Movement
 from .protocol import CrossingProtocol, Occupancy, ProtocolEntry
 from .trajectory import CubicTrajectory, VehicleParams, solve_boundary
 from .trajectory import _absolute_coefficients, _boundary_cubic, _cubic_extrema
-from .trajectory import _invert, _require_monotone
+from .trajectory import _invert, _least_horizon_behind, _require_monotone
 
 # Margin by which planned extrema stay inside the hard bounds, and the
 # minimum slack demanded from the safety constraints.  The bound margin keeps
@@ -51,6 +61,9 @@ SAFETY_SLACK = 1e-9
 
 DEFAULT_HORIZON_CAP = 120.0
 DEFAULT_RESOLUTION = 1e-3
+# How far above the bounds-only bracket, in floats, the search looks for the
+# bounds' edge before scanning at `DEFAULT_RESOLUTION` instead.
+_BOUNDS_EDGE_FLOATS = 8
 
 
 class Policy(str, Enum):
@@ -328,12 +341,6 @@ class _SearchContext:
                 return False, _Fail.LATERAL, occ.t_out + self.lateral_buffer + 2.0 * SAFETY_SLACK
         return True, None, None
 
-    def zone_entry(self, tf: float) -> float:
-        v0, t0 = self.request.v0, self.request.t0
-        c3, c2, T = _boundary_cubic(v0, self.s_total, t0, tf)
-        _require_monotone(_cubic_extrema(c3, c2, v0, T)[0])
-        return _invert(c3, c2, v0, t0, tf, self.s_total, self.window_entry)
-
 
 def _make_context(
     request: PlanRequest,
@@ -371,47 +378,34 @@ def _make_context(
     )
 
 
-def _tf_for_zone_entry(
-    ctx: _SearchContext, target: float, lo: float, hi: float
-) -> Optional[float]:
-    """Smallest tf in [lo, hi] whose merging-zone entry time reaches `target`.
-
-    Valid only on the regime where the entry time grows with tf, which holds
-    for horizons up to twice the constant-speed horizon; callers cap `hi`
-    accordingly and fall back to plain stepping beyond it.
-    """
-    if ctx.zone_entry(hi) < target:
-        return None
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ctx.zone_entry(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9:
-            break
-    return hi
-
-
 def _search_min_tf(
     ctx: _SearchContext, horizon_cap: float
 ) -> tuple[Optional[float], Optional[CubicTrajectory], BindingConstraint]:
     req = ctx.request
-    v0, s_total = req.v0, ctx.s_total
+    v0, t0, s_total = req.v0, req.t0, ctx.s_total
     t_lb = _bounds_lower_bracket(v0, s_total, ctx.caps)
     # Beyond this horizon the terminal speed drops below the floor for good.
     t_ub = 3.0 * s_total / (v0 + 2.0 * ctx.caps.v_min)
-    tf_max = req.t0 + min(horizon_cap, t_ub)
-    jump_hi = req.t0 + min(2.0 * s_total / v0, min(horizon_cap, t_ub))
+    tf_max = t0 + min(horizon_cap, t_ub)
+    jump_hi = t0 + min(2.0 * s_total / v0, min(horizon_cap, t_ub))
 
-    tf = req.t0 + t_lb
+    # The bracket is the bounds' edge up to rounding: start from the first
+    # exit time a few floats up that the bounds admit, if there is one.
+    tf = t0 + t_lb
+    edge = tf
+    for _ in range(_BOUNDS_EDGE_FLOATS):
+        c3, c2, T = _boundary_cubic(v0, s_total, t0, edge)
+        if _within_caps(_cubic_extrema(c3, c2, v0, T), ctx.caps):
+            tf = edge
+            break
+        edge = math.nextafter(edge, math.inf)
     last_bad: Optional[float] = None
     last_fail = _Fail.BOUNDS
     while tf <= tf_max + 1e-12:
         ok, fail, zone_target = ctx.check(tf)
         if ok:
             if last_bad is None:
-                traj = solve_boundary(v0, s_total, req.t0, tf)
+                traj = solve_boundary(v0, s_total, t0, tf)
                 return tf, traj, BindingConstraint.BOUNDS
             lo, hi = last_bad, tf
             fail_at_lo = last_fail
@@ -422,14 +416,24 @@ def _search_min_tf(
                     hi = mid
                 else:
                     lo, fail_at_lo = mid, fail_mid
-            traj = solve_boundary(v0, s_total, req.t0, hi)
+            traj = solve_boundary(v0, s_total, t0, hi)
             return hi, traj, _FAIL_TO_BINDING[fail_at_lo]
+        last_bad, last_fail = tf, fail
         nxt = tf + DEFAULT_RESOLUTION
         if zone_target is not None and tf < jump_hi:
-            jumped = _tf_for_zone_entry(ctx, zone_target, tf, jump_hi)
-            if jumped is not None:
-                nxt = max(nxt, jumped)
-        last_bad, last_fail = tf, fail
+            # Where the zone entry time grows with tf, land on the horizon
+            # that enters at the target (`above`) and keep as the infeasible
+            # end the one entering 2 slack earlier, which the same
+            # constraint still rejects.
+            above = _least_horizon_behind(
+                v0, s_total, ctx.window_entry, zone_target - t0, tf - t0, jump_hi - t0
+            )
+            if above is not None and t0 + above > tf:
+                below = _least_horizon_behind(
+                    v0, s_total, ctx.window_entry,
+                    zone_target - 2.0 * SAFETY_SLACK - t0, tf - t0, above,
+                )
+                last_bad, nxt = t0 + below, t0 + above
         tf = nxt
     return None, None, _FAIL_TO_BINDING[last_fail]
 
@@ -438,8 +442,13 @@ def _search_min_tf(
 # Public planning API
 # ---------------------------------------------------------------------------
 
-def _check_options(lateral_buffer: float, horizon_cap: float = DEFAULT_HORIZON_CAP) -> None:
-    """Reject a search option that a `Scenario` would reject."""
+def _check_options(
+    lateral_buffer: float,
+    horizon_cap: float = DEFAULT_HORIZON_CAP,
+    min_zone_entry: Optional[float] = None,
+) -> None:
+    """Reject a search option that a `Scenario` would reject, and a NaN
+    entry-order bound, which every comparison would silently ignore."""
     for name, value in (("lateral_buffer", lateral_buffer), ("horizon_cap", horizon_cap)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
@@ -447,6 +456,24 @@ def _check_options(lateral_buffer: float, horizon_cap: float = DEFAULT_HORIZON_C
         raise ValueError("lateral_buffer must be non-negative")
     if horizon_cap <= 0:
         raise ValueError("horizon_cap must be positive")
+    if min_zone_entry is not None and math.isnan(min_zone_entry):
+        raise ValueError("min_zone_entry must not be NaN")
+
+
+def _lane_context(
+    request: PlanRequest,
+    lane: LaneId,
+    protocol: CrossingProtocol,
+    layout: IntersectionLayout,
+    lateral_buffer: float,
+    min_zone_entry: Optional[float],
+    horizon_cap: float = DEFAULT_HORIZON_CAP,
+) -> _SearchContext:
+    """One lane's search context, for the entry points that take a lane."""
+    _check_options(lateral_buffer, horizon_cap, min_zone_entry)
+    if lane not in layout.allowed_lanes(request.movement):
+        raise ValueError(f"lane {lane} not admissible for movement {request.movement}")
+    return _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
 
 
 def feasible_tf(
@@ -464,10 +491,9 @@ def feasible_tf(
     Exposed so independent searches (e.g. brute-force verification) can use
     exactly the predicate the planner optimizes over.
     """
-    _check_options(lateral_buffer)
+    ctx = _lane_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
     if tf <= request.t0:
         return False
-    ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
     return ctx.check(tf)[0]
 
 
@@ -482,10 +508,9 @@ def min_feasible_tf(
     min_zone_entry: Optional[float] = None,
 ) -> Optional[float]:
     """Smallest feasible exit time on one lane, or None within the horizon."""
-    _check_options(lateral_buffer, horizon_cap)
-    if lane not in layout.allowed_lanes(request.movement):
-        raise ValueError(f"lane {lane} not admissible for movement {request.movement}")
-    ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
+    ctx = _lane_context(
+        request, lane, protocol, layout, lateral_buffer, min_zone_entry, horizon_cap
+    )
     tf, _, _ = _search_min_tf(ctx, horizon_cap)
     return tf
 

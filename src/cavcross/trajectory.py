@@ -14,6 +14,7 @@ The arithmetic lives in private float kernels, which `CubicTrajectory` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -297,6 +298,53 @@ def _boundary_cubic(
     c2 = 3.0 * (s_total - v0 * T) / (2.0 * T**2)
     _check_terminal_position(c3, c2, v0, 0.0, T, s_total)
     return c3, c2, T
+
+
+def _least_horizon_behind(
+    v0: float, s_total: float, position: float, tau: float, lo: float, hi: float
+) -> Optional[float]:
+    """Least horizon T in [lo, hi] whose boundary cubic is at or before
+    `position` at offset `tau`, so reaches it no earlier; None if `hi` is not.
+
+    With x = tau/T, p(tau; T) = v0*tau + (s_total - v0*T)/2 * x^2 * (3 - x),
+    which falls strictly as T grows while tau < T < 2*s_total/v0; callers
+    keep `hi` in that regime.  The crossing is a root of a cubic in T, found
+    by Newton's method safeguarded by bisection down to adjacent floats, with
+    p evaluated as `_boundary_cubic`'s coefficients give it.  Every horizon
+    reaches a position past the start after offset 0, and before offset T.
+    """
+    if tau <= 0.0:
+        return lo
+
+    def excess(T: float) -> float:
+        c3 = (v0 * T - s_total) / (2.0 * T**3)
+        c2 = 3.0 * (s_total - v0 * T) / (2.0 * T**2)
+        return ((c3 * tau + c2) * tau + v0) * tau - position
+
+    if tau >= hi or excess(hi) > 0.0:
+        return None
+    if lo > tau and excess(lo) <= 0.0:
+        return lo
+    # Invariant: excess(lo) > 0 >= excess(hi); at T = tau the cubic is at s_total.
+    lo = max(lo, tau)
+    T, value = hi, excess(hi)
+    for _ in range(200):
+        x = tau / T
+        slope = -0.5 * x * x * (3.0 * s_total / T * (2.0 - x) - v0 * (3.0 - 2.0 * x))
+        nxt = T - value / slope if slope < 0.0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt == T:
+            # Newton has converged: step one float toward the other bracket end.
+            nxt = math.nextafter(T, -math.inf if value <= 0.0 else math.inf)
+        if not lo < nxt < hi:
+            break
+        T, value = nxt, excess(nxt)
+        if value <= 0.0:
+            hi = T
+        else:
+            lo = T
+    return hi
 
 
 def _check_terminal_position(

@@ -25,22 +25,22 @@ RUN_FILES = (
 
 RUN_GOLDEN = {
     "optimal": {
-        "trajectory.csv": "a984b51ec1fc6c3a5d15f6f07151ac3b065ada47082ccf1d281580decd87e47f",
-        "metrics.json": "c58ed9931edeec53bfb4202fd25af123bbd5732b2b8ff03aa90ba69789e1dac4",
-        "protocol.json": "e91510b40653b078161c444e7a66ffa5faa03a252b3a29df7ec77a24c5165d10",
-        "plots/position.csv": "0689791f21ad45729ebf4cb2b5a6ee3828ab412fd59391b693088e497b2c8509",
-        "plots/speed.csv": "cd8f7972bf62b7bc100a250fb554d58558d8913b1fc03be0037a9882b410bf1a",
-        "plots/accel.csv": "54ed3180735d7be780b104271399efe813da1cec7fe88bfe442327f0658bda26",
-        "plots/rear_margin.csv": "5eedaf880bd85635735e113d3b33787443952a937f8262de7cdfb2c94e6fe171",
+        "trajectory.csv": "02307e35b57799cf9ba479c6183274c0604cb6f1acfa5778711e4af650a85944",
+        "metrics.json": "6e0aafe1204e4e06ba4cf1b99e523ae0a6f4f788d2c00ef0ad5597e7cd4c2cca",
+        "protocol.json": "0037e3cea8bfc30ff32a85841a2b2761147ea7cb803e478f63bf4886dca0984a",
+        "plots/position.csv": "5ccca106a7ecbbc98145af14c1365340d5d0f1c1a56f2e5734c119c780129ce2",
+        "plots/speed.csv": "6d4807d72cc74de2bf5d9ce2aac4e33a5a28de999abae51a8832ba49dc59b012",
+        "plots/accel.csv": "340fe5f1e8edc8b2e7ae3a091bc9d76823169b1167f27e52765ee38ab716feba",
+        "plots/rear_margin.csv": "974cea53f297ec612dd35053c54ad88dd7ba4e963f7319057f10b2ceb69734e4",
     },
     "fifo": {
-        "trajectory.csv": "193fe253273478b4f51a98abe600b17a760b02ccceb3106b3efbf40cb7762546",
-        "metrics.json": "cfe81d6e5f1a3b76384a476fb511dd77e40a34087bcdafd2b3faf69ee12bb026",
-        "protocol.json": "8d1e6e62a52ecae313c388bb0e55bd4f257b5fb5899320f3e7d272b1ea02f910",
-        "plots/position.csv": "4e35cf9a938a288e32fb769d0cd1808378f11451bde6411a3127bd643d133037",
-        "plots/speed.csv": "9ae40cf1bbbb56b6797b0db940c3a52e1ecf88a89fcebfb9e9bfded5256ec2ca",
-        "plots/accel.csv": "8912fef28a765f27d3d26fbbadcff435f774b17ff7fe40b6cc6b47087ddddccb",
-        "plots/rear_margin.csv": "00af5e99b213e0770e835bdae51652aa2ae350b8088aaaabc431a057829ac0d3",
+        "trajectory.csv": "b2a58956e437b2380a46cdca2134abcc87f17b61cb77b0393e39bee0ff97fe19",
+        "metrics.json": "585181858575ec839b725d724c217fd0430820023c7c2fbaa8719a65bc58ba68",
+        "protocol.json": "e17047aa9fee4bb5bf11eeb87c1a4f3827a7ad2078b82c75f0933f7dfb599932",
+        "plots/position.csv": "d95c70588e02492430401b9c84d0d66b8a85687564b4166f590f6808c3a0721e",
+        "plots/speed.csv": "34ff6512fe16aaa6a9d3782d7c03b4e836673d3485e1cd97dfab6dfd9f15b2c5",
+        "plots/accel.csv": "f20cb27eec197adcba9f000948c03d7d3c64d8b44e2edc490333ea91eb39a472",
+        "plots/rear_margin.csv": "6c9ace177851c612b7a0ff6ce91ab912774903bfabecd34f9515573dca038603",
     },
 }
 
@@ -48,20 +48,20 @@ RUN_GOLDEN = {
 # mean_gap=2.0) under optimal: 73,469 sampled rows, 18,369 of them behind a
 # leader, so leader finding is covered at scale.
 DENSE_RUN_GOLDEN = {
-    "trajectory.csv": "c2bd665a618220c84076d0f53ee2e7d15d3f3ca11d6987cb59c615047e50bffa",
-    "metrics.json": "a584d80b4ef5fd2db749f385ab9cbcc57560855619f4b52e3c4ffd09f91253cc",
-    "protocol.json": "a188ca75beb304d2df75c843d935df3b0727a22a142fe9896dafaeafe18d593d",
-    "plots/position.csv": "fdfa1554388718e70408afe101c24da50d2392953b1cc95c4933c41e8be67a2a",
-    "plots/speed.csv": "a690793a11f2a85e3a4167cd223b80a3fee571920612187333e2d5e539733488",
-    "plots/accel.csv": "ccd7fce1753754b8a27899ae1126cdd0200309c81087da121afbc3e7b2928a61",
-    "plots/rear_margin.csv": "4e262f8b3ca64e4325f114c0625e5ea5861a50e5af01aa0f93f6781706f53c07",
+    "trajectory.csv": "71db667b4218e8c1275ba0f5b619f0099b88b68411cecb809b4944659381042c",
+    "metrics.json": "7f9df03fb8a9c26367f2340d730b212febbb4bc846d0fffa508eb5a1072294a0",
+    "protocol.json": "a5555d35a1d05e840e3d9864a0fba611b4b5660d1f4e3e6298fc8f23a917ff41",
+    "plots/position.csv": "2b539e90085f406698b6850428fed2b9e240af5ccc8cb35988f30cb227d1d576",
+    "plots/speed.csv": "1abbcaab0525910069bf683483a1bb4d778e6ec015a9724a28c5fb706e732999",
+    "plots/accel.csv": "2969315ab06f500e225909dee887612812023222ecfcbea37a6ff9783faf1a57",
+    "plots/rear_margin.csv": "93db256c3257943b7fffdd5ef37bce884add031f08da5c8cfeefa964f632ff14",
 }
 
 # `cavcross plan --vehicle veh60` on generate_random_scenario(seed=7,
 # n_vehicles=60, mean_gap=3.0), saved with each policy.
 PLAN_GOLDEN = {
-    "optimal": "41e4ab46d0fbb15f420b3fdb87bac0ca8c9f3e8f42ef179503a5c2e16801d400",
-    "fifo": "dc2723dd2bb5ca35fbe3d121d115403b066c0bc7a85211af65a7a76fe04aba1d",
+    "optimal": "52fb34f88ec1af93d38923d2a384bed79640a5665a9cf8ae6c56f4ef1049cf6d",
+    "fifo": "8c3f83a0899ab1dcee9db5834de39b1701e77153483d859fc05805759fdaeb52",
 }
 
 # `schedule` on generate_random_scenario(seed=7, n_vehicles=300,
@@ -70,8 +70,8 @@ PLAN_GOLDEN = {
 # golden above hashes only the last vehicle's printout; this pins all 600
 # decisions, including the stream `dense_plan` benchmarks.
 DECISION_GOLDEN = {
-    "optimal": "7cea9487504fe094537233450f75a79eccdfe9c02459d833c6a688c54f2a1c13",
-    "fifo": "44b7bdf8413a2a3acf5e2457d78a39107006daba062ef2edb2a8d187630c9f0b",
+    "optimal": "795f5118d5d40bf43d19ff14d507cb8f7b9b31c96c77c59b74318c4e14b43dce",
+    "fifo": "85c473587d86739d2e4b2ebe52096a200e7c1bf2fba1c0384135a0ef46f9e9a1",
 }
 
 

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavcross import (
@@ -24,8 +25,10 @@ from cavcross import (
     plan,
     rear_end_margin,
     rear_end_ok,
+    schedule,
     solve_boundary,
 )
+from cavcross import planner, trajectory
 from cavcross.planner import SAFETY_SLACK, _make_context
 
 import oracles
@@ -446,12 +449,46 @@ class TestFifoPlan:
         assert opt.tf < result.tf
 
 
+# How far `plan`'s exit times may lie from the original search's: twice the
+# 1e-9 s resolution of that search's final bisection.
+EXIT_TIME_TOLERANCE = 2e-9
+
+
+def _assert_same_decision(got, expected, req, layout) -> None:
+    """`got` has the binding constraint and lane outcomes of `expected`,
+    with every exit time within EXIT_TIME_TOLERANCE, picks its lane by its
+    own outcomes, and its trajectory is the boundary cubic of its exit time.
+
+    It picks the lane `expected` picks, unless the original search's exit
+    times of the two lanes lie within EXIT_TIME_TOLERANCE: lanes held by
+    the same occupancy get equal exit times from `plan`, so the lowest index
+    wins, while the original search's bisections tell them apart by less
+    than their resolution.
+    """
+    assert got.binding_constraint is expected.binding_constraint
+    assert [o.lane for o in got.lanes] == [o.lane for o in expected.lanes]
+    for outcome, reference in zip(got.lanes, expected.lanes):
+        assert outcome.binding_constraint is reference.binding_constraint, outcome.lane
+        assert (outcome.tf is None) == (reference.tf is None), outcome.lane
+        if outcome.tf is not None:
+            assert abs(outcome.tf - reference.tf) <= EXIT_TIME_TOLERANCE, outcome.lane
+    assert (got.tf, got.lane) == min((o.tf, o.lane) for o in got.lanes if o.tf is not None)
+    tied = [
+        o.lane for o in expected.lanes
+        if o.tf is not None and o.tf - expected.tf <= EXIT_TIME_TOLERANCE
+    ]
+    assert got.lane in tied
+    s_total = layout.total_distance(req.movement)
+    assert got.trajectory == solve_boundary(req.v0, s_total, req.t0, got.tf)
+
+
 def _plan_stream_against_reference(scenario) -> int:
     """Plan a scenario's arrivals with `plan` and with the original search.
 
-    Each vehicle must get an equal PlanResult or an equal PlanningError; a
-    vehicle neither planner admits is left out and the stream goes on.
-    Returns the number of vehicles not admitted.
+    Each vehicle must get the same decision (`_assert_same_decision`) or an
+    equal PlanningError; the original search's plan is registered, and a
+    vehicle neither planner admits is left out.  Returns the number of
+    vehicles not admitted.
     """
     layout = scenario.layout
     protocol = CrossingProtocol(layout)
@@ -474,7 +511,7 @@ def _plan_stream_against_reference(scenario) -> int:
             assert info.value.lane_failures == exc.lane_failures
             refused += 1
             continue
-        assert plan(req, protocol, layout, **options) == expected, arrival.vehicle_id
+        _assert_same_decision(plan(req, protocol, layout, **options), expected, req, layout)
         protocol.register(
             ProtocolEntry(arrival.vehicle_id, expected.trajectory, expected.lane, arrival.movement)
         )
@@ -482,9 +519,10 @@ def _plan_stream_against_reference(scenario) -> int:
 
 
 class TestPlanMatchesReferenceSearch:
-    """`plan` decides exactly as the original full-scan search
-    (`oracles.plan_reference`): same lane, exit time bits, trajectory,
-    binding constraint and lane outcomes, or the same PlanningError."""
+    """`plan` decides as the original full-scan search
+    (`oracles.plan_reference`): same lane, binding constraint and lane
+    outcomes, exit times within EXIT_TIME_TOLERANCE, or the same
+    PlanningError."""
 
     @settings(max_examples=30)
     @given(
@@ -494,6 +532,16 @@ class TestPlanMatchesReferenceSearch:
         lanes=st.integers(1, 3),
         lateral_buffer=st.floats(0.0, 1.0),
         policy=st.sampled_from(list(Policy)),
+    )
+    # The last vehicle of each is held on two lanes by one occupancy: `plan`
+    # ties the lanes and picks the lower, the original search the upper.
+    @example(
+        seed=8223, n_vehicles=21, mean_gap=2.0063283498282383, lanes=2,
+        lateral_buffer=0.8318419998067315, policy=Policy.FIFO,
+    )
+    @example(
+        seed=5800, n_vehicles=18, mean_gap=1.57198543147687, lanes=3,
+        lateral_buffer=0.5781271541587845, policy=Policy.FIFO,
     )
     def test_generated_streams(self, seed, n_vehicles, mean_gap, lanes, lateral_buffer, policy):
         scenario = generate_random_scenario(
@@ -515,6 +563,102 @@ class TestPlanMatchesReferenceSearch:
             seed=seed, n_vehicles=n_vehicles, mean_gap=mean_gap, policy=policy
         )
         assert _plan_stream_against_reference(scenario) > 0
+
+
+class TestNearBoundary:
+    """Every lane outcome of `plan` is feasible by `feasible_tf`, and 1 us
+    earlier is not: the search lands on the feasibility boundary."""
+
+    @settings(max_examples=30)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_vehicles=st.integers(1, 40),
+        mean_gap=st.floats(1.5, 4.0),
+        lanes=st.integers(1, 3),
+        lateral_buffer=st.floats(0.0, 1.0),
+        policy=st.sampled_from(list(Policy)),
+    )
+    def test_generated_streams(self, seed, n_vehicles, mean_gap, lanes, lateral_buffer, policy):
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=n_vehicles,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            policy=policy,
+            mean_gap=mean_gap,
+            lateral_buffer=lateral_buffer,
+        )
+        layout = scenario.layout
+        protocol = CrossingProtocol(layout)
+        for arrival in scenario.arrivals:
+            req = PlanRequest(
+                arrival.vehicle_id, arrival.movement, arrival.time, arrival.v0, arrival.params
+            )
+            try:
+                result = plan(
+                    req, protocol, layout, policy=policy, lateral_buffer=lateral_buffer
+                )
+            except PlanningError:
+                continue
+            options = dict(
+                lateral_buffer=lateral_buffer,
+                min_zone_entry=protocol.latest_zone_entry if policy is Policy.FIFO else None,
+            )
+            for outcome in result.lanes:
+                if outcome.tf is None:
+                    continue
+                assert feasible_tf(req, outcome.lane, outcome.tf, protocol, layout, **options)
+                assert not feasible_tf(
+                    req, outcome.lane, outcome.tf - 1e-6, protocol, layout, **options
+                )
+            protocol.register(
+                ProtocolEntry(arrival.vehicle_id, result.trajectory, result.lane, arrival.movement)
+            )
+
+
+class TestProbeCount:
+    """The search's work on the 300-vehicle stream the `dense_plan`
+    benchmark plans: full probes (`_SearchContext.check`) under both
+    policies stay below PROBE_BOUND, and the kernel that lands on the
+    entry-time edges inverts no trajectory."""
+
+    # 5,289 probes when written; 13,366 when each edge was bisected anew.
+    PROBE_BOUND = 6_000
+
+    def test_dense_stream(self, monkeypatch):
+        calls = dict(check=0, kernel=0, invert_in_kernel=0)
+        in_kernel = False
+        check, kernel, invert = (
+            planner._SearchContext.check, planner._least_horizon_behind, trajectory._invert
+        )
+
+        def counted_check(self, tf):
+            calls["check"] += 1
+            return check(self, tf)
+
+        def watched_kernel(*args):
+            nonlocal in_kernel
+            calls["kernel"] += 1
+            in_kernel = True
+            try:
+                return kernel(*args)
+            finally:
+                in_kernel = False
+
+        def watched_invert(*args):
+            calls["invert_in_kernel"] += in_kernel
+            return invert(*args)
+
+        monkeypatch.setattr(planner._SearchContext, "check", counted_check)
+        monkeypatch.setattr(planner, "_least_horizon_behind", watched_kernel)
+        monkeypatch.setattr(planner, "_invert", watched_invert)
+        monkeypatch.setattr(trajectory, "_invert", watched_invert)
+        scenario = generate_random_scenario(seed=7, n_vehicles=300, mean_gap=3.0)
+        for policy in Policy:
+            _, plans = schedule(dataclasses.replace(scenario, policy=policy))
+            assert len(plans) == 300
+        assert calls["kernel"] > 0
+        assert calls["invert_in_kernel"] == 0
+        assert calls["check"] < self.PROBE_BOUND, calls
 
 
 @st.composite
@@ -557,9 +701,9 @@ def probe_contexts(draw):
 
 
 class TestProbeMatchesReference:
-    """One probe of the search (`check` and `zone_entry`) gives the bits, or
-    the exception, of the original search's probe, which builds a
-    trajectory and evaluates it with the original methods."""
+    """One probe of the search (`check`) gives the bits, or the exception,
+    of the original search's probe, which builds a trajectory and evaluates
+    it with the original methods."""
 
     @settings(max_examples=150)
     @given(
@@ -579,9 +723,6 @@ class TestProbeMatchesReference:
         for ratio in ratios:
             tf = req.t0 + ratio * s_over_v
             oracles.assert_same_outcome(lambda: probe.check(tf), lambda: reference.check(tf))
-            oracles.assert_same_outcome(
-                lambda: probe.zone_entry(tf), lambda: reference.zone_entry(tf)
-            )
 
 
 class TestLiveOccupancies:
@@ -660,6 +801,27 @@ class TestOptionValidation:
         protocol.register(oracles.make_entry("b", blocker, NS, layout.allowed_lanes(NS)[0]))
         with pytest.raises(ValueError, match="lateral_buffer must be non-negative"):
             plan(request(t0=2.2), protocol, layout, lateral_buffer=-1.0)
+
+    def test_inadmissible_lane(self):
+        # On two lanes per approach a right turn may use only the outer lane.
+        layout = IntersectionLayout(lanes_per_approach=2)
+        protocol = CrossingProtocol(layout)
+        req = request(movement=Movement(N, E))
+        (lane,) = layout.allowed_lanes(req.movement)
+        (other,) = set(layout.lanes_for_approach(N)) - {lane}
+        with pytest.raises(ValueError, match="not admissible"):
+            feasible_tf(req, other, 30.0, protocol, layout)
+        with pytest.raises(ValueError, match="not admissible"):
+            min_feasible_tf(req, other, protocol, layout)
+        assert feasible_tf(req, lane, 30.0, protocol, layout)
+
+    def test_nan_entry_order_bound(self, layout):
+        protocol = CrossingProtocol(layout)
+        req, lane = request(), layout.allowed_lanes(WE)[0]
+        with pytest.raises(ValueError, match="min_zone_entry"):
+            feasible_tf(req, lane, 30.0, protocol, layout, min_zone_entry=math.nan)
+        with pytest.raises(ValueError, match="min_zone_entry"):
+            min_feasible_tf(req, lane, protocol, layout, min_zone_entry=math.nan)
 
     @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
     def test_arrival_time(self, t0):

@@ -6,7 +6,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cavcross import (
+    ALL_MOVEMENTS,
     CubicTrajectory,
+    IntersectionLayout,
     InvalidHorizonError,
     NonMonotoneError,
     OutOfDomainError,
@@ -14,6 +16,7 @@ from cavcross import (
     solve_boundary,
 )
 from cavcross.planner import _within_caps
+from cavcross.trajectory import _least_horizon_behind
 
 import oracles
 
@@ -406,3 +409,78 @@ class TestFloatKernelsMatchOriginalMethods:
         traj = CubicTrajectory(c3, c2, c1, 0.0, t0, t0 + T, s_total)
         assert traj.extrema.min_speed < min(traj.eval(traj.t0).speed, traj.eval(traj.tf).speed)
         _assert_kernels_match_copies(traj, fractions)
+
+
+@st.composite
+def entry_targets(draw):
+    """A movement's boundary-cubic setting, a horizon bracket [lo, hi] in the
+    regime where zone entry grows with the horizon (hi at its end 2*s/v0 or
+    at a cap below it), and an entry-time target: one the bracket's horizons
+    reach (its ends included), at or before the start, at or past `hi`, or
+    reached at T = s/v0 exactly, the constant-speed horizon."""
+    layout = IntersectionLayout()
+    params = VehicleParams()
+    movement = draw(st.sampled_from(ALL_MOVEMENTS))
+    s_total = layout.total_distance(movement)
+    position = layout.merging_window(movement).entry
+    v0 = draw(st.floats(params.v_min, params.v_max))
+    t0 = draw(st.floats(0.0, 3600.0))
+    regime = 2.0 * s_total / v0
+    hi = draw(st.one_of(st.just(regime), st.floats(0.3, 1.0).map(lambda f: f * regime)))
+    lo = draw(st.floats(0.2, 1.0, exclude_max=True)) * hi
+
+    def entry_offset(T):
+        return oracles.invert_reference(
+            oracles.solve_boundary_reference(v0, s_total, 0.0, T), position
+        )
+
+    tau = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1.0]).map(lambda f: entry_offset(lo + f * (hi - lo))),
+            st.floats(0.0, 1.0).map(lambda f: entry_offset(lo + f * (hi - lo))),
+            st.floats(-10.0, 0.0),
+            st.floats(0.0, 10.0).map(lambda d: hi + d),
+            st.just(position / v0),
+        )
+    )
+    return v0, s_total, position, t0, t0 + tau, lo, hi
+
+
+class TestLeastHorizonBehind:
+    """The kernel that finds the horizon whose zone entry reaches a target
+    agrees with inverting the original search's trajectories: the horizon it
+    returns enters at or after the target, and the next float down enters
+    before it, both to within RESOLUTION_ULPS of the target; None means the
+    bracket's last horizon enters before it."""
+
+    RESOLUTION_ULPS = 8
+
+    @given(query=entry_targets())
+    @example(query=(10.0, 275.0, 125.0, 0.0, 12.5, 20.0, 55.0))  # T = s/v0 = 27.5 exactly
+    @example(query=(10.0, 275.0, 125.0, 3600.0, 3612.5, 20.0, 55.0))
+    @example(query=(10.0, 275.0, 125.0, 7.0, 7.0, 20.0, 55.0))  # tau = 0
+    @example(query=(10.0, 275.0, 125.0, 7.0, 62.0, 20.0, 55.0))  # tau = hi
+    def test_agrees_with_inversion(self, query):
+        v0, s_total, position, t0, target, lo, hi = query
+
+        def entry(T):
+            traj = oracles.solve_boundary_reference(v0, s_total, t0, t0 + T)
+            return oracles.invert_reference(traj, position)
+
+        tol = self.RESOLUTION_ULPS * math.ulp(target)
+        T = _least_horizon_behind(v0, s_total, position, target - t0, lo, hi)
+        if T is None:
+            assert entry(hi) < target + tol
+            return
+        assert lo <= T <= hi
+        assert entry(T) >= target - tol
+        if T > lo:
+            assert entry(math.nextafter(T, -math.inf)) < target + tol
+
+    def test_constant_speed_horizon(self):
+        # At T = s/v0 the cubic is the line v0*tau, which is at 125 m at 12.5 s.
+        assert _least_horizon_behind(10.0, 275.0, 125.0, 12.5, 20.0, 55.0) == pytest.approx(
+            27.5, rel=1e-15
+        )
+        assert _least_horizon_behind(10.0, 275.0, 125.0, 0.0, 20.0, 55.0) == 20.0
+        assert _least_horizon_behind(10.0, 275.0, 125.0, 55.0, 20.0, 55.0) is None
