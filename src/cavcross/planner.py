@@ -460,20 +460,9 @@ def _check_options(
         raise ValueError("min_zone_entry must not be NaN")
 
 
-def _lane_context(
-    request: PlanRequest,
-    lane: LaneId,
-    protocol: CrossingProtocol,
-    layout: IntersectionLayout,
-    lateral_buffer: float,
-    min_zone_entry: Optional[float],
-    horizon_cap: float = DEFAULT_HORIZON_CAP,
-) -> _SearchContext:
-    """One lane's search context, for the entry points that take a lane."""
-    _check_options(lateral_buffer, horizon_cap, min_zone_entry)
+def _check_lane(request: PlanRequest, lane: LaneId, layout: IntersectionLayout) -> None:
     if lane not in layout.allowed_lanes(request.movement):
         raise ValueError(f"lane {lane} not admissible for movement {request.movement}")
-    return _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
 
 
 def feasible_tf(
@@ -491,9 +480,11 @@ def feasible_tf(
     Exposed so independent searches (e.g. brute-force verification) can use
     exactly the predicate the planner optimizes over.
     """
-    ctx = _lane_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
+    _check_options(lateral_buffer, min_zone_entry=min_zone_entry)
+    _check_lane(request, lane, layout)
     if tf <= request.t0:
         return False
+    ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
     return ctx.check(tf)[0]
 
 
@@ -508,9 +499,9 @@ def min_feasible_tf(
     min_zone_entry: Optional[float] = None,
 ) -> Optional[float]:
     """Smallest feasible exit time on one lane, or None within the horizon."""
-    ctx = _lane_context(
-        request, lane, protocol, layout, lateral_buffer, min_zone_entry, horizon_cap
-    )
+    _check_options(lateral_buffer, horizon_cap, min_zone_entry)
+    _check_lane(request, lane, layout)
+    ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
     tf, _, _ = _search_min_tf(ctx, horizon_cap)
     return tf
 

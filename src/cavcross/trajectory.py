@@ -310,8 +310,9 @@ def _least_horizon_behind(
     which falls strictly as T grows while tau < T < 2*s_total/v0; callers
     keep `hi` in that regime.  The crossing is a root of a cubic in T, found
     by Newton's method safeguarded by bisection down to adjacent floats, with
-    p evaluated as `_boundary_cubic`'s coefficients give it.  Every horizon
-    reaches a position past the start after offset 0, and before offset T.
+    p evaluated as `_boundary_cubic`'s coefficients give it.  A vehicle
+    reaches a position past its start after offset 0 and before offset T, so
+    tau <= 0 gives `lo`, and no horizon at or below tau qualifies.
     """
     if tau <= 0.0:
         return lo
