@@ -10,18 +10,19 @@ vehicle.  Under the first-in-first-out policy the vehicle may, in
 addition, not enter the merging zone before any earlier-registered vehicle
 does.
 
-The search lands on three edges in closed form and scans only where no
-closed form applies.  It starts at the bounds' edge: a closed-form
+The search lands on three edges in closed form and scans a 1 ms grid only
+where none applies.  It starts at the bounds' edge: a closed-form
 bounds-only lower bracket, stepped up float by float to the first exit time
 the bounds admit.  A lateral or entry-order rejection names the zone-entry
-time the candidate must reach; while the entry time grows with the horizon
-(up to 2*s/v0), the horizons entering at that time and 2 slack earlier are
-roots of a cubic in the horizon, which the trajectory module's
-`_least_horizon_behind` finds to float resolution, and the search probes the
-first and bisects down to the second, a point the same constraint rejects.
-Elsewhere, as through rear-end rejections, it steps forward 1 ms at a time
-and bisects back onto the feasibility boundary after the first feasible
-step.
+time to reach; while the entry time grows with the horizon (up to 2*s/v0),
+the horizons entering then and 2 slack earlier are roots of a cubic, which
+the trajectory module's `_least_horizon_behind` finds to float resolution,
+and the search probes the first and bisects down to the second.  The grid
+points a rejection proves infeasible (up to 2*s/v0 if no horizon there
+enters in time; those a rear-end margin cannot climb out of, by
+`_rear_end_reach`) it passes over, probing only the last; it steps 1 ms
+from there and bisects back onto the feasibility boundary after the first
+feasible step, so every decision is the plain scan's, bit for bit.
 
 Each probe does only the work that can change its verdict, in plain
 floats: the trajectory module's float kernels give it the bits, and the
@@ -218,6 +219,23 @@ def _rear_end_margin(
     return min(values)
 
 
+def _rear_end_reach(
+    v0: float, s_total: float, T: float, margin: float, params: VehicleParams
+) -> float:
+    """How far past horizon T, rejected with rear-end `margin` below
+    SAFETY_SLACK, every horizon keeps the margin below it.
+
+    The shared window only grows with T, and over it x = tau/T lies in
+    [0, 1], where the boundary cubic's |dp/dT| <= v0 + 1.5*(s/T + v0) and
+    |dv/dT| <= (1.5*v0 + 2*(s/T + v0))/T, both non-increasing in T.  So the
+    margin rises by at most K = xi*|dp/dT| + rho*|dv/dT| per second of
+    horizon, and half the headroom over K is a safe reach.
+    """
+    pace = s_total / T + v0
+    k = params.reaction_gain * (v0 + 1.5 * pace) + params.headway * (1.5 * v0 + 2.0 * pace) / T
+    return 0.5 * (SAFETY_SLACK - margin) / k
+
+
 def rear_end_ok(
     candidate: CubicTrajectory, leader: ProtocolEntry, params: VehicleParams
 ) -> bool:
@@ -315,7 +333,9 @@ class _SearchContext:
     def check(self, tf: float) -> tuple[bool, Optional[_Fail], Optional[float]]:
         """Full feasibility of one candidate exit time.
 
-        Returns (ok, failed-constraint, zone-entry target to jump past).
+        Returns (ok, failed-constraint, detail): the detail of an entry-order
+        or lateral rejection is the zone-entry time to reach, of a rear-end
+        one the margin.
         """
         req = self.request
         v0, t0, s_total = req.v0, req.t0, self.s_total
@@ -329,8 +349,9 @@ class _SearchContext:
             return False, _Fail.ORDER, self.min_zone_entry
         if self.leader is not None:
             coeffs = _absolute_coefficients(c3, c2, v0, 0.0, t0)
-            if _rear_end_margin(coeffs, t0, tf, *self.leader, req.params) < SAFETY_SLACK:
-                return False, _Fail.REAR_END, None
+            margin = _rear_end_margin(coeffs, t0, tf, *self.leader, req.params)
+            if margin < SAFETY_SLACK:
+                return False, _Fail.REAR_END, margin
         t_out = _invert(c3, c2, v0, t0, tf, s_total, self.window_exit)
         for occ in self.conflicting:
             if t_out + self.lateral_buffer < occ.t_in - SAFETY_SLACK:
@@ -399,10 +420,19 @@ def _search_min_tf(
             tf = edge
             break
         edge = math.nextafter(edge, math.inf)
+
+    def last_step_below(tf: float, reach: float) -> float:
+        # The last point below `reach` (and within the horizon) that the
+        # 1 ms scan from `tf` probes, or its first if none lies below.
+        nxt = tf + DEFAULT_RESOLUTION
+        while (after := nxt + DEFAULT_RESOLUTION) < reach and after <= tf_max + 1e-12:
+            nxt = after
+        return nxt
+
     last_bad: Optional[float] = None
     last_fail = _Fail.BOUNDS
     while tf <= tf_max + 1e-12:
-        ok, fail, zone_target = ctx.check(tf)
+        ok, fail, detail = ctx.check(tf)
         if ok:
             if last_bad is None:
                 traj = solve_boundary(v0, s_total, t0, tf)
@@ -420,20 +450,29 @@ def _search_min_tf(
             return hi, traj, _FAIL_TO_BINDING[fail_at_lo]
         last_bad, last_fail = tf, fail
         nxt = tf + DEFAULT_RESOLUTION
-        if zone_target is not None and tf < jump_hi:
+        if fail is _Fail.REAR_END:
+            # The scan's points up to the margin's reach are rejected too:
+            # probe only the last of them.
+            reach = tf + _rear_end_reach(v0, s_total, tf - t0, detail, req.params)
+            nxt = last_step_below(tf, reach)
+        elif detail is not None and tf < jump_hi:
             # Where the zone entry time grows with tf, land on the horizon
             # that enters at the target (`above`) and keep as the infeasible
-            # end the one entering 2 slack earlier, which the same
-            # constraint still rejects.
+            # end the one entering 2 slack earlier (`below`), which the same
+            # constraint rejects, as it rejects all before `below` if no
+            # horizon up to jump_hi enters at the target.
             above = _least_horizon_behind(
-                v0, s_total, ctx.window_entry, zone_target - t0, tf - t0, jump_hi - t0
+                v0, s_total, ctx.window_entry, detail - t0, tf - t0, jump_hi - t0
             )
-            if above is not None and t0 + above > tf:
+            if above is None or t0 + above > tf:
                 below = _least_horizon_behind(
-                    v0, s_total, ctx.window_entry,
-                    zone_target - 2.0 * SAFETY_SLACK - t0, tf - t0, above,
+                    v0, s_total, ctx.window_entry, detail - 2.0 * SAFETY_SLACK - t0,
+                    tf - t0, jump_hi - t0 if above is None else above,
                 )
-                last_bad, nxt = t0 + below, t0 + above
+                if above is not None:
+                    last_bad, nxt = t0 + below, t0 + above
+                else:
+                    nxt = last_step_below(tf, jump_hi if below is None else t0 + below)
         tf = nxt
     return None, None, _FAIL_TO_BINDING[last_fail]
 

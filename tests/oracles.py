@@ -42,15 +42,19 @@ from cavcross import (
     plan,
     sample_zone_path,
 )
+from cavcross import planner
 from cavcross.planner import (
+    _BOUNDS_EDGE_FLOATS,
     _FAIL_TO_BINDING,
     DEFAULT_HORIZON_CAP,
     DEFAULT_RESOLUTION,
     SAFETY_SLACK,
     _bounds_lower_bracket,
     _Fail,
+    _rear_end_margin,
     _shift_cubic,
     _tightened_params,
+    _within_caps,
 )
 from cavcross.simulation import IntegrationCheck
 from cavcross.trajectory import (
@@ -61,6 +65,13 @@ from cavcross.trajectory import (
     InvalidHorizonError,
     NonMonotoneError,
     OutOfDomainError,
+    _absolute_coefficients,
+    _boundary_cubic,
+    _cubic_extrema,
+    _invert,
+    _least_horizon_behind,
+    _require_monotone,
+    solve_boundary,
 )
 
 
@@ -460,7 +471,8 @@ class _SearchContext:
     def check(self, tf: float) -> tuple[bool, Optional[_Fail], Optional[float]]:
         """Full feasibility of one candidate exit time.
 
-        Returns (ok, failed-constraint, zone-entry target to jump past).
+        Returns (ok, failed-constraint, detail): the zone-entry time to reach
+        for an entry-order or lateral rejection, the margin for a rear-end one.
         """
         req = self.request
         traj = solve_boundary_reference(req.v0, self.s_total, req.t0, tf)
@@ -470,8 +482,9 @@ class _SearchContext:
         if self.min_zone_entry is not None and t_in < self.min_zone_entry - SAFETY_SLACK:
             return False, _Fail.ORDER, self.min_zone_entry
         if self.leader is not None:
-            if rear_end_margin_reference(traj, self.leader, req.params) < SAFETY_SLACK:
-                return False, _Fail.REAR_END, None
+            margin = rear_end_margin_reference(traj, self.leader, req.params)
+            if margin < SAFETY_SLACK:
+                return False, _Fail.REAR_END, margin
         t_out = invert_reference(traj, self.window_exit)
         for occ in self.conflicting:
             separated = (
@@ -564,7 +577,7 @@ def _search_min_tf(
             traj = solve_boundary_reference(v0, s_total, req.t0, hi)
             return hi, traj, _FAIL_TO_BINDING[fail_at_lo]
         nxt = tf + DEFAULT_RESOLUTION
-        if zone_target is not None and tf < jump_hi:
+        if fail in (_Fail.ORDER, _Fail.LATERAL) and tf < jump_hi:
             jumped = _tf_for_zone_entry(ctx, zone_target, tf, jump_hi)
             if jumped is not None:
                 nxt = max(nxt, jumped)
@@ -597,6 +610,132 @@ def plan_reference(
     for lane in layout.allowed_lanes(request.movement):
         ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
         searches.append((lane, *_search_min_tf(ctx, horizon_cap)))
+    outcomes = tuple(LaneOutcome(lane, tf, binding) for lane, tf, _, binding in searches)
+    feasible = [search for search in searches if search[1] is not None]
+    if not feasible:
+        raise PlanningError(
+            request.vehicle_id, {o.lane: o.binding_constraint for o in outcomes}
+        )
+    lane, tf, traj, binding = min(feasible, key=lambda search: (search[1], search[0]))
+    return PlanResult(lane, tf, traj, binding, outcomes)
+
+
+# ---------------------------------------------------------------------------
+# The exact-edges search as it was before it skipped grid points: it lands
+# on the bounds, lateral and entry-order edges in closed form and otherwise
+# probes every point of the 1 ms scan.  Kept as the reference whose every
+# decision the skipping search must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _ScanContext:
+    request: PlanRequest
+    s_total: float
+    window_entry: float
+    window_exit: float
+    caps: VehicleParams
+    leader: Optional[tuple[tuple[float, float, float, float], float, float]]
+    conflicting: list[Occupancy]
+    lateral_buffer: float
+    min_zone_entry: Optional[float]
+
+    def check(self, tf: float) -> tuple[bool, Optional[_Fail], Optional[float]]:
+        """(ok, failed-constraint, zone-entry target to jump past)."""
+        req = self.request
+        v0, t0, s_total = req.v0, req.t0, self.s_total
+        c3, c2, T = _boundary_cubic(v0, s_total, t0, tf)
+        extrema = _cubic_extrema(c3, c2, v0, T)
+        if not _within_caps(extrema, self.caps):
+            return False, _Fail.BOUNDS, None
+        _require_monotone(extrema[0])
+        t_in = _invert(c3, c2, v0, t0, tf, s_total, self.window_entry)
+        if self.min_zone_entry is not None and t_in < self.min_zone_entry - SAFETY_SLACK:
+            return False, _Fail.ORDER, self.min_zone_entry
+        if self.leader is not None:
+            coeffs = _absolute_coefficients(c3, c2, v0, 0.0, t0)
+            if _rear_end_margin(coeffs, t0, tf, *self.leader, req.params) < SAFETY_SLACK:
+                return False, _Fail.REAR_END, None
+        t_out = _invert(c3, c2, v0, t0, tf, s_total, self.window_exit)
+        for occ in self.conflicting:
+            if t_out + self.lateral_buffer < occ.t_in - SAFETY_SLACK:
+                break
+            if not t_in - self.lateral_buffer > occ.t_out + SAFETY_SLACK:
+                return False, _Fail.LATERAL, occ.t_out + self.lateral_buffer + 2.0 * SAFETY_SLACK
+        return True, None, None
+
+
+def search_min_tf_scan(
+    ctx: _ScanContext, horizon_cap: float
+) -> tuple[Optional[float], Optional[CubicTrajectory], BindingConstraint]:
+    req = ctx.request
+    v0, t0, s_total = req.v0, req.t0, ctx.s_total
+    t_lb = _bounds_lower_bracket(v0, s_total, ctx.caps)
+    t_ub = 3.0 * s_total / (v0 + 2.0 * ctx.caps.v_min)
+    tf_max = t0 + min(horizon_cap, t_ub)
+    jump_hi = t0 + min(2.0 * s_total / v0, min(horizon_cap, t_ub))
+
+    tf = t0 + t_lb
+    edge = tf
+    for _ in range(_BOUNDS_EDGE_FLOATS):
+        c3, c2, T = _boundary_cubic(v0, s_total, t0, edge)
+        if _within_caps(_cubic_extrema(c3, c2, v0, T), ctx.caps):
+            tf = edge
+            break
+        edge = math.nextafter(edge, math.inf)
+    last_bad: Optional[float] = None
+    last_fail = _Fail.BOUNDS
+    while tf <= tf_max + 1e-12:
+        ok, fail, zone_target = ctx.check(tf)
+        if ok:
+            if last_bad is None:
+                traj = solve_boundary(v0, s_total, t0, tf)
+                return tf, traj, BindingConstraint.BOUNDS
+            lo, hi = last_bad, tf
+            fail_at_lo = last_fail
+            while hi - lo > 1e-9:
+                mid = 0.5 * (lo + hi)
+                ok_mid, fail_mid, _ = ctx.check(mid)
+                if ok_mid:
+                    hi = mid
+                else:
+                    lo, fail_at_lo = mid, fail_mid
+            traj = solve_boundary(v0, s_total, t0, hi)
+            return hi, traj, _FAIL_TO_BINDING[fail_at_lo]
+        last_bad, last_fail = tf, fail
+        nxt = tf + DEFAULT_RESOLUTION
+        if zone_target is not None and tf < jump_hi:
+            above = _least_horizon_behind(
+                v0, s_total, ctx.window_entry, zone_target - t0, tf - t0, jump_hi - t0
+            )
+            if above is not None and t0 + above > tf:
+                below = _least_horizon_behind(
+                    v0, s_total, ctx.window_entry,
+                    zone_target - 2.0 * SAFETY_SLACK - t0, tf - t0, above,
+                )
+                last_bad, nxt = t0 + below, t0 + above
+        tf = nxt
+    return None, None, _FAIL_TO_BINDING[last_fail]
+
+
+def plan_scan(
+    request: PlanRequest,
+    protocol: CrossingProtocol,
+    layout: IntersectionLayout,
+    *,
+    policy: Policy = Policy.OPTIMAL,
+    lateral_buffer: float = 0.0,
+    horizon_cap: float = DEFAULT_HORIZON_CAP,
+) -> PlanResult:
+    """`plan` with `search_min_tf_scan` on the planner's own search contexts."""
+    min_zone_entry: Optional[float] = None
+    if Policy(policy) is Policy.FIFO:
+        min_zone_entry = protocol.latest_zone_entry
+    searches = []
+    for lane in layout.allowed_lanes(request.movement):
+        ctx = planner._make_context(
+            request, lane, protocol, layout, lateral_buffer, min_zone_entry
+        )
+        searches.append((lane, *search_min_tf_scan(_ScanContext(**vars(ctx)), horizon_cap)))
     outcomes = tuple(LaneOutcome(lane, tf, binding) for lane, tf, _, binding in searches)
     feasible = [search for search in searches if search[1] is not None]
     if not feasible:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from cavcross import (
@@ -18,8 +18,10 @@ from cavcross import (
     Policy,
     ProtocolEntry,
     VehicleParams,
+    SimulationError,
     generate_random_scenario,
     lateral_ok,
+    load_scenario,
     min_feasible_tf,
     feasible_tf,
     plan,
@@ -32,6 +34,7 @@ from cavcross import planner, trajectory
 from cavcross.planner import SAFETY_SLACK, _make_context
 
 import oracles
+from conftest import REFERENCE_SCENARIO
 
 W, E, N, S = Cardinal.W, Cardinal.E, Cardinal.N, Cardinal.S
 WE = Movement(W, E)
@@ -482,13 +485,20 @@ def _assert_same_decision(got, expected, req, layout) -> None:
     assert got.trajectory == solve_boundary(req.v0, s_total, req.t0, got.tf)
 
 
-def _plan_stream_against_reference(scenario) -> int:
-    """Plan a scenario's arrivals with `plan` and with the original search.
+def _assert_same_plan(got, expected, req, layout) -> None:
+    assert repr(got) == repr(expected)
 
-    Each vehicle must get the same decision (`_assert_same_decision`) or an
-    equal PlanningError; the original search's plan is registered, and a
-    vehicle neither planner admits is left out.  Returns the number of
-    vehicles not admitted.
+
+def _plan_stream_against_reference(
+    scenario, reference=oracles.plan_reference, assert_same=_assert_same_decision
+) -> int:
+    """Plan a scenario's arrivals with `plan` and with a reference search,
+    by default the original one.
+
+    Each vehicle must get the same decision (`assert_same`) or an equal
+    PlanningError; the reference's plan is registered, and a vehicle
+    neither planner admits is left out.  Returns the number of vehicles not
+    admitted.
     """
     layout = scenario.layout
     protocol = CrossingProtocol(layout)
@@ -503,7 +513,7 @@ def _plan_stream_against_reference(scenario) -> int:
             arrival.vehicle_id, arrival.movement, arrival.time, arrival.v0, arrival.params
         )
         try:
-            expected = oracles.plan_reference(req, protocol, layout, **options)
+            expected = reference(req, protocol, layout, **options)
         except PlanningError as exc:
             with pytest.raises(PlanningError) as info:
                 plan(req, protocol, layout, **options)
@@ -511,7 +521,7 @@ def _plan_stream_against_reference(scenario) -> int:
             assert info.value.lane_failures == exc.lane_failures
             refused += 1
             continue
-        _assert_same_decision(plan(req, protocol, layout, **options), expected, req, layout)
+        assert_same(plan(req, protocol, layout, **options), expected, req, layout)
         protocol.register(
             ProtocolEntry(arrival.vehicle_id, expected.trajectory, expected.lane, arrival.movement)
         )
@@ -565,6 +575,101 @@ class TestPlanMatchesReferenceSearch:
         assert _plan_stream_against_reference(scenario) > 0
 
 
+class TestPlanMatchesScanSearch:
+    """`plan` makes every decision of the search that probes each point of
+    its 1 ms scan (`oracles.plan_scan`) bit for bit: the same `PlanResult`
+    by `repr`, lane outcomes included, or the same PlanningError."""
+
+    @settings(max_examples=30)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_vehicles=st.integers(1, 40),
+        mean_gap=st.floats(1.5, 4.0),
+        lanes=st.integers(1, 3),
+        lateral_buffer=st.floats(0.0, 1.0),
+        policy=st.sampled_from(list(Policy)),
+    )
+    def test_generated_streams(self, seed, n_vehicles, mean_gap, lanes, lateral_buffer, policy):
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=n_vehicles,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            policy=policy,
+            mean_gap=mean_gap,
+            lateral_buffer=lateral_buffer,
+        )
+        _plan_stream_against_reference(scenario, oracles.plan_scan, _assert_same_plan)
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_dense_stream(self, policy):
+        # The `dense_plan` benchmark's stream, whose scan steps thousands of
+        # times through rear-end rejections.
+        scenario = generate_random_scenario(seed=7, n_vehicles=300, mean_gap=3.0, policy=policy)
+        assert _plan_stream_against_reference(scenario, oracles.plan_scan, _assert_same_plan) == 0
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize(
+        "seed, n_vehicles, mean_gap", [(3, 80, 2.0), (4, 150, 3.0)]
+    )
+    def test_overloaded_streams(self, seed, n_vehicles, mean_gap, policy):
+        scenario = generate_random_scenario(
+            seed=seed, n_vehicles=n_vehicles, mean_gap=mean_gap, policy=policy
+        )
+        assert _plan_stream_against_reference(scenario, oracles.plan_scan, _assert_same_plan) > 0
+
+
+@st.composite
+def rear_end_rejections(draw):
+    """A leader and a follower on one approach, any two of its movements
+    (N->W behind N->S among them), the follower arriving up to 8 s later,
+    and a horizon of up to 3*s/v0 that the rear-end margin rejects."""
+    layout = IntersectionLayout()
+    params = VehicleParams()
+    origin = draw(st.sampled_from(list(Cardinal)))
+    same_approach = [m for m in ALL_MOVEMENTS if m.origin == origin]
+    speeds = st.floats(params.v_min, params.v_max)
+    lead_movement, movement = draw(st.sampled_from(same_approach)), draw(st.sampled_from(same_approach))
+    lead_t0, lead_v0 = draw(st.floats(0.0, 3600.0)), draw(speeds)
+    lead_s = layout.total_distance(lead_movement)
+    lead_tf = lead_t0 + draw(st.floats(0.6, 2.5)) * lead_s / lead_v0
+    leader = oracles.make_entry(
+        "leader", solve_boundary(lead_v0, lead_s, lead_t0, lead_tf), lead_movement,
+        layout.allowed_lanes(lead_movement)[0],
+    )
+    t0, v0 = lead_t0 + draw(st.floats(0.0, 8.0)), draw(speeds)
+    s_total = layout.total_distance(movement)
+    # The margin rises fastest after short horizons: draw them half the time.
+    T = draw(st.one_of(st.floats(0.05, 0.4), st.floats(0.05, 3.0))) * s_total / v0
+    return leader, t0, v0, s_total, T, params
+
+
+class TestRearEndReach:
+    """From a horizon T that the rear-end margin rejects, every horizon up
+    to the reach that `planner._rear_end_reach` gives (50 of them, both ends
+    included) keeps the margin, computed by
+    `oracles.rear_end_margin_reference`, below SAFETY_SLACK."""
+
+    @staticmethod
+    def margin(leader, t0, v0, s_total, T, params):
+        traj = oracles.solve_boundary_reference(v0, s_total, t0, t0 + T)
+        return oracles.rear_end_margin_reference(traj, leader, params)
+
+    @settings(max_examples=300)
+    @given(rejection=rear_end_rejections())
+    def test_drawn_rejections(self, rejection):
+        leader, t0, v0, s_total, T, params = rejection
+        margin = self.margin(*rejection)
+        assume(margin < SAFETY_SLACK)
+        reach = T + planner._rear_end_reach(v0, s_total, T, margin, params)
+        worst = max(
+            self.margin(leader, t0, v0, s_total, float(horizon), params)
+            for horizon in np.linspace(T, reach, 50)
+        )
+        # Steer the search toward the reach the bound leaves least room in.
+        target((worst - margin) / (SAFETY_SLACK - margin))
+        assert worst < SAFETY_SLACK
+
+
 class TestNearBoundary:
     """Every lane outcome of `plan` is feasible by `feasible_tf`, and 1 us
     earlier is not: the search lands on the feasibility boundary."""
@@ -616,15 +721,22 @@ class TestNearBoundary:
 
 
 class TestProbeCount:
-    """The search's work on the 300-vehicle stream the `dense_plan`
-    benchmark plans: full probes (`_SearchContext.check`) under both
-    policies stay below PROBE_BOUND, and the kernel that lands on the
-    entry-time edges inverts no trajectory."""
+    """The search's work, in full probes (`_SearchContext.check`) under both
+    policies: on the 300-vehicle stream the `dense_plan` benchmark plans, on
+    the reference scenario, and up to an overloaded stream's first refusal.
+    The kernel that lands on the entry-time edges inverts no trajectory."""
 
-    # 5,289 probes when written; 13,366 when each edge was bisected anew.
-    PROBE_BOUND = 6_000
+    # 1,155 probes when written; 5,289 while the scan probed each 1 ms step
+    # through rear-end rejections, 13,366 when each edge was bisected anew.
+    PROBE_BOUND = 1_500
+    # 120 probes when written; 2,675 while the scan probed each 1 ms step.
+    REFERENCE_PROBE_BOUND = 300
+    # Per policy, up to veh30's refusal: ~4,900 when written; ~30,500 while
+    # the scan probed each 1 ms step.
+    REFUSAL_PROBE_BOUND = 6_000
 
-    def test_dense_stream(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = dict(check=0, kernel=0, invert_in_kernel=0)
         in_kernel = False
         check, kernel, invert = (
@@ -652,13 +764,32 @@ class TestProbeCount:
         monkeypatch.setattr(planner, "_least_horizon_behind", watched_kernel)
         monkeypatch.setattr(planner, "_invert", watched_invert)
         monkeypatch.setattr(trajectory, "_invert", watched_invert)
+        yield calls
+        assert calls["invert_in_kernel"] == 0
+
+    def test_dense_stream(self, calls):
         scenario = generate_random_scenario(seed=7, n_vehicles=300, mean_gap=3.0)
         for policy in Policy:
             _, plans = schedule(dataclasses.replace(scenario, policy=policy))
             assert len(plans) == 300
         assert calls["kernel"] > 0
-        assert calls["invert_in_kernel"] == 0
         assert calls["check"] < self.PROBE_BOUND, calls
+
+    def test_reference_scenario(self, calls):
+        scenario = load_scenario(REFERENCE_SCENARIO)
+        for policy in Policy:
+            _, plans = schedule(dataclasses.replace(scenario, policy=policy))
+            assert len(plans) == len(scenario.arrivals)
+        assert calls["check"] <= self.REFERENCE_PROBE_BOUND, calls
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_overload_refusal(self, calls, policy):
+        scenario = generate_random_scenario(
+            seed=4, n_vehicles=150, mean_gap=3.0, policy=policy
+        )
+        with pytest.raises(SimulationError, match="veh30"):
+            schedule(scenario)
+        assert calls["check"] <= self.REFUSAL_PROBE_BOUND, calls
 
 
 @st.composite
