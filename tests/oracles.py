@@ -7,9 +7,10 @@ planner's minimum exit time by brute-force grid search over the library's
 feasibility predicate, the planner's indexed and pruned search and its
 float probes by the original full-scan search (which builds a trajectory
 per probe and evaluates it with verbatim copies of the original methods),
-the protocol's indexed predecessor query by a scan of every entry, and the
-run's sampled log and violations by the original per-step object loop, and
-the RK4 cross-check by its original scalar step loop.
+its skips over the 1 ms grid by its previous search, which probes every
+grid point, the protocol's indexed predecessor query by a scan of every
+entry, and the run's sampled log and violations by the original per-step
+object loop, and the RK4 cross-check by its original scalar step loop.
 """
 
 from __future__ import annotations
