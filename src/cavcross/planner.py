@@ -226,13 +226,17 @@ def _rear_end_reach(
     SAFETY_SLACK, every horizon keeps the margin below it.
 
     The shared window only grows with T, and over it x = tau/T lies in
-    [0, 1], where the boundary cubic's |dp/dT| <= v0 + 1.5*(s/T + v0) and
-    |dv/dT| <= (1.5*v0 + 2*(s/T + v0))/T, both non-increasing in T.  So the
+    [0, 1].  At a fixed tau the boundary cubic has
+    dp/dT = v0*x^2*(1.5 - x) - 1.5*(s/T)*x^2*(2 - x) and
+    dv/dT = -((s/T)*(6x - 4.5x^2) - 3*v0*x*(1 - x))/T.  On [0, 1],
+    x^2*(1.5 - x) <= 0.5, x^2*(2 - x) <= 1, 6x - 4.5x^2 <= 2 and
+    3x*(1 - x) <= 0.75, so |dp/dT| <= 0.5*v0 + 1.5*s/T and
+    |dv/dT| <= (0.75*v0 + 2*s/T)/T, both non-increasing in T.  So the
     margin rises by at most K = xi*|dp/dT| + rho*|dv/dT| per second of
     horizon, and half the headroom over K is a safe reach.
     """
-    pace = s_total / T + v0
-    k = params.reaction_gain * (v0 + 1.5 * pace) + params.headway * (1.5 * v0 + 2.0 * pace) / T
+    xi, rho, pace = params.reaction_gain, params.headway, s_total / T
+    k = xi * (0.5 * v0 + 1.5 * pace) + rho * (0.75 * v0 + 2.0 * pace) / T
     return 0.5 * (SAFETY_SLACK - margin) / k
 
 

@@ -1,7 +1,10 @@
 """Scenario files: schema, parsing, serialization, and random generation.
 
-A scenario is a YAML mapping with four sections.  Unknown keys anywhere are
-rejected.  Units are part of every field name.
+A scenario is a YAML mapping with four sections.  Unknown and non-string
+keys anywhere are rejected, and so are numbers out of a float's range.
+Units are part of every field name.  Files are read as bytes and decoded by
+the YAML reader; both directions go through libyaml where PyYAML has it,
+and a saved file has the bytes of PyYAML's pure-Python `safe_dump`.
 
 layout:
   control_zone_length_m: float   # approach length up to the merging zone
@@ -49,6 +52,11 @@ from .geometry import Cardinal, IntersectionLayout, Movement
 from .simulation import Arrival, Policy, Scenario
 from .trajectory import VehicleParams
 
+# libyaml's parser and emitter when PyYAML was built with it, else the pure
+# ones; both share PyYAML's Safe constructors and representer.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 class ScenarioError(ValueError):
     """A scenario document failed validation; `field` is the dotted path."""
@@ -85,6 +93,9 @@ def _require_mapping(node: Any, field: str) -> dict:
     return node
 
 def _reject_unknown(node: dict, allowed: set[str], field: str) -> None:
+    for key in node:
+        if not isinstance(key, str):
+            raise ScenarioError(field, f"expected string keys, got {key!r}")
     unknown = sorted(set(node) - allowed)
     if unknown:
         raise ScenarioError(field, f"unknown keys: {', '.join(unknown)}")
@@ -98,9 +109,13 @@ def _number(node: dict, key: str, field: str, default: Optional[float] = None) -
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{field}.{key}", f"expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ScenarioError(f"{field}.{key}", "value out of range for a float") from None
     if not math.isfinite(value):
         raise ScenarioError(f"{field}.{key}", "value must be finite")
-    return float(value)
+    return value
 
 
 def _cardinal(node: dict, key: str, field: str) -> Cardinal:
@@ -127,16 +142,17 @@ def _parse_params(node: dict, field: str, base: Optional[VehicleParams]) -> Vehi
             raise ScenarioError(f"{field}.{key}", "missing required value")
         return _number(node, key, field, default=fallback)
 
+    values = dict(
+        u_min=pick("accel_min_mps2", defaults.u_min),
+        u_max=pick("accel_max_mps2", defaults.u_max),
+        v_min=pick("speed_min_mps", defaults.v_min),
+        v_max=pick("speed_max_mps", defaults.v_max),
+        headway=pick("headway_s", defaults.headway),
+        standstill_gap=pick("standstill_gap_m", defaults.standstill_gap),
+        reaction_gain=pick("reaction_gain", defaults.reaction_gain),
+    )
     try:
-        return VehicleParams(
-            u_min=pick("accel_min_mps2", defaults.u_min),
-            u_max=pick("accel_max_mps2", defaults.u_max),
-            v_min=pick("speed_min_mps", defaults.v_min),
-            v_max=pick("speed_max_mps", defaults.v_max),
-            headway=pick("headway_s", defaults.headway),
-            standstill_gap=pick("standstill_gap_m", defaults.standstill_gap),
-            reaction_gain=pick("reaction_gain", defaults.reaction_gain),
-        )
+        return VehicleParams(**values)
     except ValueError as exc:
         raise ScenarioError(field, str(exc)) from None
 
@@ -153,22 +169,23 @@ def parse_scenario_dict(doc: Any) -> Scenario:
     lanes = layout_node.get("lanes_per_approach", 1)
     if isinstance(lanes, bool) or not isinstance(lanes, int):
         raise ScenarioError("layout.lanes_per_approach", f"expected an integer, got {lanes!r}")
+    values = dict(
+        control_zone_length=_number(layout_node, "control_zone_length_m", "layout"),
+        merging_zone_side=_number(layout_node, "merging_zone_side_m", "layout"),
+        right_turn_radius=(
+            _number(layout_node, "right_turn_radius_m", "layout")
+            if "right_turn_radius_m" in layout_node
+            else None
+        ),
+        left_turn_radius=(
+            _number(layout_node, "left_turn_radius_m", "layout")
+            if "left_turn_radius_m" in layout_node
+            else None
+        ),
+        lanes_per_approach=lanes,
+    )
     try:
-        layout = IntersectionLayout(
-            control_zone_length=_number(layout_node, "control_zone_length_m", "layout"),
-            merging_zone_side=_number(layout_node, "merging_zone_side_m", "layout"),
-            right_turn_radius=(
-                _number(layout_node, "right_turn_radius_m", "layout")
-                if "right_turn_radius_m" in layout_node
-                else None
-            ),
-            left_turn_radius=(
-                _number(layout_node, "left_turn_radius_m", "layout")
-                if "left_turn_radius_m" in layout_node
-                else None
-            ),
-            lanes_per_approach=lanes,
-        )
+        layout = IntersectionLayout(**values)
     except ValueError as exc:
         raise ScenarioError("layout", str(exc)) from None
 
@@ -233,10 +250,9 @@ def parse_scenario_dict(doc: Any) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text()
     try:
-        # libyaml's parser when PyYAML was built with it; same constructors.
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        # Bytes: the YAML reader decodes them, so bad encodings are YAML errors.
+        doc = yaml.load(Path(path).read_bytes(), Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark is not None else "document"
@@ -295,9 +311,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(
-        yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False)
-    )
+    # An id outside printable ASCII is written double-quoted with escapes,
+    # which libyaml folds at other columns than PyYAML's own emitter does.
+    plain = all(a.vehicle_id.isascii() and a.vehicle_id.isprintable() for a in scenario.arrivals)
+    dumper = _DUMPER if plain else yaml.SafeDumper
+    # The text is built before the file is opened: a failed dump leaves it as it was.
+    text = yaml.dump(scenario_to_dict(scenario), Dumper=dumper, sort_keys=False)
+    Path(path).write_text(text)
 
 
 def generate_random_scenario(

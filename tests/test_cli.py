@@ -17,6 +17,26 @@ from cavcross.cli import (
 from cavcross import load_scenario, run
 
 
+MINIMAL = textwrap.dedent(
+    """
+    layout:
+      control_zone_length_m: 125.0
+      merging_zone_side_m: 25.0
+    defaults: {accel_min_mps2: -3.0, accel_max_mps2: 3.0, speed_min_mps: 2.0,
+               speed_max_mps: 18.0, headway_s: 1.0, standstill_gap_m: 1.5}
+    arrivals:
+      - {id: a, time_s: 0.0, from: W, to: E, speed_mps: 10.0}
+    """
+)
+
+
+def _argv(command, path, tmp_path):
+    """A `run` or `plan` command line on `path`, planning MINIMAL's vehicle."""
+    if command == "plan":
+        return ["plan", str(path), "--vehicle", "a"]
+    return ["run", str(path), "--out", str(tmp_path / "out")]
+
+
 @pytest.fixture
 def out_dir(tmp_path, monkeypatch):
     monkeypatch.delenv("CAVCROSS_OUT", raising=False)
@@ -109,6 +129,39 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("scenario error: arrivals[0]: arrival speed 50.0 outside")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    def test_minimal_document_exit_zero(self, tmp_path, capsys, command):
+        path = tmp_path / "minimal.yaml"
+        path.write_text(MINIMAL)
+        assert main(_argv(command, path, tmp_path)) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text.replace("layout:", "layout:\n  1: 2", 1), "layout: expected string keys, got 1"),
+            (lambda text: "~: 2\n" + text, "<root>: expected string keys, got None"),
+            (
+                lambda text: text.replace("125.0", "1" + "0" * 400, 1),
+                "layout.control_zone_length_m: value out of range for a float",
+            ),
+        ],
+        ids=["layout-int-key", "root-null-key", "huge-integer"],
+    )
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    def test_malformed_document_parse_exit(self, tmp_path, capsys, command, edit, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(edit(MINIMAL))
+        assert main(_argv(command, bad, tmp_path)) == EXIT_PARSE
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    def test_invalid_utf8_parse_exit(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin.yaml"
+        bad.write_bytes(b"# caf\xff\xfe\n" + MINIMAL.encode())
+        assert main(_argv(command, bad, tmp_path)) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: document: not valid YAML")
 
     def test_planning_failure_exit(self, tmp_path, capsys):
         gridlock = tmp_path / "gridlock.yaml"

@@ -671,6 +671,44 @@ class TestRearEndReach:
         assert worst < SAFETY_SLACK
 
 
+class TestRearEndSlopeBounds:
+    """The slope bounds `planner._rear_end_reach` rests on: at a fixed
+    tau = x*T, x in [0, 1], central differences in T of the boundary cubic
+    (`oracles.solve_boundary_reference`) stay within
+    |dp/dT| <= 0.5*v0 + 1.5*s/T and |dv/dT| <= (0.75*v0 + 2*s/T)/T, and the
+    reach is half the headroom over xi*(first) + rho*(second)."""
+
+    @settings(max_examples=500)
+    @given(
+        v0=st.floats(0.5, 30.0),
+        s_total=st.floats(1.0, 400.0),
+        ratio=st.floats(0.05, 3.0),
+        x=st.floats(0.0, 1.0),
+        xi=st.floats(0.1, 2.0),
+        rho=st.floats(0.1, 3.0),
+    )
+    def test_finite_differences(self, v0, s_total, ratio, x, xi, rho):
+        T = ratio * s_total / v0
+        tau, h = x * T, 1e-5 * T
+
+        def position_speed(horizon):
+            traj = oracles.solve_boundary_reference(v0, s_total, 0.0, horizon)
+            c3, c2 = traj.c3, traj.c2
+            return ((c3 * tau + c2) * tau + v0) * tau, (3.0 * c3 * tau + 2.0 * c2) * tau + v0
+
+        (p_hi, v_hi), (p_lo, v_lo) = position_speed(T + h), position_speed(T - h)
+        dp, dv = (p_hi - p_lo) / (2.0 * h), (v_hi - v_lo) / (2.0 * h)
+        dp_bound = 0.5 * v0 + 1.5 * s_total / T
+        dv_bound = (0.75 * v0 + 2.0 * s_total / T) / T
+        target(abs(dp) / dp_bound, label="dp/dT over its bound")
+        target(abs(dv) / dv_bound, label="dv/dT over its bound")
+        assert abs(dp) <= dp_bound * (1.0 + 1e-6)
+        assert abs(dv) <= dv_bound * (1.0 + 1e-6)
+        params = VehicleParams(headway=rho, reaction_gain=xi)
+        reach = planner._rear_end_reach(v0, s_total, T, SAFETY_SLACK - 1.0, params)
+        assert reach == pytest.approx(0.5 / (xi * dp_bound + rho * dv_bound), rel=1e-12)
+
+
 class TestNearBoundary:
     """Every lane outcome of `plan` is feasible by `feasible_tf`, and 1 us
     earlier is not: the search lands on the feasibility boundary."""
@@ -730,8 +768,9 @@ class TestProbeCount:
     # 1,155 probes when written; 5,289 while the scan probed each 1 ms step
     # through rear-end rejections, 13,366 when each edge was bisected anew.
     PROBE_BOUND = 1_500
-    # 120 probes when written; 2,675 while the scan probed each 1 ms step.
-    REFERENCE_PROBE_BOUND = 300
+    # 88 probes when written; 120 under the looser rear-end slope bound,
+    # 2,675 while the scan probed each 1 ms step.
+    REFERENCE_PROBE_BOUND = 120
     # Per policy, up to veh30's refusal: ~4,900 when written; ~30,500 while
     # the scan probed each 1 ms step.
     REFUSAL_PROBE_BOUND = 6_000

@@ -1,21 +1,32 @@
+import dataclasses
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cavcross
 from cavcross import (
+    Arrival,
     Cardinal,
     IntersectionLayout,
+    Movement,
     Policy,
+    Scenario,
     ScenarioError,
+    VehicleParams,
     generate_random_scenario,
     load_scenario,
     parse_scenario_dict,
     save_scenario,
     scenario_to_dict,
 )
+from cavcross import scenario as scenario_module
 
 
 MINIMAL = textwrap.dedent(
@@ -134,6 +145,72 @@ class TestValidation:
             load_scenario(path)
         assert info.value.field == "line 2"
 
+    @pytest.mark.parametrize("key", [1, None, 2.5, True])
+    @pytest.mark.parametrize("section", ["<root>", "layout"])
+    def test_non_string_key(self, section, key):
+        doc = yaml.safe_load(MINIMAL)
+        (doc if section == "<root>" else doc[section])[key] = 2
+        with pytest.raises(ScenarioError, match="expected string keys") as info:
+            parse_scenario_dict(doc)
+        assert info.value.field == section
+
+    def test_integer_too_large_for_a_float(self):
+        doc = yaml.safe_load(MINIMAL)
+        doc["layout"]["control_zone_length_m"] = 10**400
+        with pytest.raises(ScenarioError, match="out of range") as info:
+            parse_scenario_dict(doc)
+        assert info.value.field == "layout.control_zone_length_m"
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "latin.yaml"
+        path.write_bytes(b"# caf\xff\xfe\n" + MINIMAL.encode())
+        with pytest.raises(ScenarioError, match="not valid YAML") as info:
+            load_scenario(path)
+        assert info.value.field == "document"
+
+    def test_utf16_with_bom(self, tmp_path):
+        path = tmp_path / "utf16.yaml"
+        path.write_bytes(MINIMAL.encode("utf-16"))
+        assert load_scenario(path) == parse_text(MINIMAL)
+
+
+# Where in the minimal document drawn entries go, and the keys allowed there.
+_SECTIONS = {
+    "<root>": (lambda doc: doc, scenario_module._TOP_KEYS),
+    "layout": (lambda doc: doc["layout"], scenario_module._LAYOUT_KEYS),
+    "defaults": (lambda doc: doc["defaults"], scenario_module._PARAM_KEYS),
+    "sim": (lambda doc: doc.setdefault("sim", {}), scenario_module._SIM_KEYS),
+    "arrival": (lambda doc: doc["arrivals"][0], scenario_module._ARRIVAL_KEYS),
+    "params": (
+        lambda doc: doc["arrivals"][0].setdefault("params", {}), scenario_module._PARAM_KEYS
+    ),
+}
+_SCALARS = st.one_of(
+    st.one_of(st.integers(), st.integers(10**300, 10**400), st.floats()),
+    st.one_of(st.none(), st.booleans(), st.text(max_size=5)),
+    st.sampled_from(["N", "E", "S", "W", "optimal", "fifo"]),
+)
+
+
+class TestArbitraryEntries:
+    """Any keys with any scalar values, placed in any section of a valid
+    document, parse or raise ScenarioError: nothing else escapes."""
+
+    @settings(max_examples=250)
+    @given(section=st.sampled_from(sorted(_SECTIONS)), data=st.data())
+    def test_parse_or_scenario_error(self, section, data):
+        doc = yaml.safe_load(MINIMAL)
+        node, known = _SECTIONS[section]
+        keys = st.one_of(
+            st.sampled_from(sorted(known)),
+            st.one_of(st.text(max_size=5), st.integers(), st.none(), st.booleans(), st.floats()),
+        )
+        node(doc).update(data.draw(st.dictionaries(keys, _SCALARS, max_size=4)))
+        try:
+            parse_scenario_dict(doc)
+        except ScenarioError:
+            pass
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self, reference_path):
@@ -173,6 +250,102 @@ class TestRoundTrip:
         doc = scenario_to_dict(scenario)
         assert parse_scenario_dict(doc) == scenario
         assert parse_scenario_dict(yaml.safe_load(yaml.safe_dump(doc))) == scenario
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios with 1-3 lanes, either policy, any non-empty vehicle ids,
+    times over many magnitudes and per-arrival parameter overrides."""
+    times = sorted(draw(st.lists(st.floats(-1e12, 1e12), max_size=8)))
+    # Printable ASCII ids go through libyaml; others through PyYAML's emitter.
+    printable = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=200)
+    ids = st.one_of(st.text(min_size=1), printable)
+    ids = draw(st.lists(ids, min_size=len(times), max_size=len(times), unique=True))
+    base = VehicleParams()
+    arrivals = []
+    for vid, time in zip(ids, times):
+        params = base
+        if draw(st.booleans()):
+            params = dataclasses.replace(
+                base,
+                v_max=draw(st.floats(base.v_min * 2.0, 40.0)),
+                headway=draw(st.floats(1e-7, 1e7)),
+                reaction_gain=draw(st.floats(0.1, 2.0)),
+            )
+        origin = draw(st.sampled_from(list(Cardinal)))
+        dest = draw(st.sampled_from([c for c in Cardinal if c != origin]))
+        v0 = draw(st.floats(params.v_min, params.v_max))
+        arrivals.append(Arrival(vid, time, Movement(origin, dest), v0, params))
+    return Scenario(
+        layout=IntersectionLayout(lanes_per_approach=draw(st.integers(1, 3))),
+        arrivals=tuple(arrivals),
+        policy=draw(st.sampled_from(list(Policy))),
+        dt=draw(st.floats(1e-7, 1.0)),
+        lateral_buffer=draw(st.floats(0.0, 1e7)),
+        seed=draw(st.none() | st.integers(0, 2**63)),
+    )
+
+
+class TestWriter:
+    """`save_scenario` writes the bytes PyYAML's pure-Python safe_dump
+    gives, through libyaml's emitter where PyYAML has it and through the
+    pure one otherwise, and the file loads back to an equal scenario."""
+
+    @pytest.fixture(params=["libyaml", "pure"])
+    def emitter(self, request, monkeypatch):
+        if request.param == "libyaml":
+            if not yaml.__with_libyaml__:
+                pytest.skip("PyYAML was built without libyaml")
+        else:
+            # What the module picks where PyYAML has no libyaml.
+            monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+            monkeypatch.setattr(scenario_module, "_DUMPER", yaml.SafeDumper)
+        return request.param
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario=scenarios())
+    def test_bytes_match_safe_dump(self, emitter, tmp_path, scenario):
+        path = tmp_path / "drawn.yaml"
+        save_scenario(scenario, path)
+        expected = yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False)
+        assert path.read_bytes() == expected.encode()
+        assert load_scenario(path) == scenario
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+    def test_pure_emitter_unused(self, tmp_path, monkeypatch):
+        def refuse(self, event):
+            raise AssertionError("the pure-Python emitter was called")
+
+        monkeypatch.setattr(yaml.emitter.Emitter, "emit", refuse)
+        with pytest.raises(AssertionError, match="pure-Python"):
+            yaml.safe_dump({"a": 1})
+        scenario = generate_random_scenario(seed=7, n_vehicles=300, mean_gap=3.0)
+        save_scenario(scenario, tmp_path / "dense.yaml")
+        assert load_scenario(tmp_path / "dense.yaml") == scenario
+
+    def test_module_without_libyaml(self, tmp_path, reference_path):
+        # A fresh interpreter whose PyYAML lacks the libyaml classes.
+        program = textwrap.dedent(
+            """
+            import sys
+            import yaml
+            for name in ("CSafeLoader", "CSafeDumper"):
+                if hasattr(yaml, name):
+                    delattr(yaml, name)
+            from cavcross import scenario
+            assert scenario._LOADER is yaml.SafeLoader
+            assert scenario._DUMPER is yaml.SafeDumper
+            scenario.save_scenario(scenario.load_scenario(sys.argv[1]), sys.argv[2])
+            """
+        )
+        out = tmp_path / "pure.yaml"
+        src = str(Path(cavcross.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-c", program, str(reference_path), str(out)], check=True, env=env
+        )
+        scenario = load_scenario(reference_path)
+        assert out.read_bytes() == yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False).encode()
 
 
 class TestGenerator:
