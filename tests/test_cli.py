@@ -139,7 +139,10 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda text: text.replace("layout:", "layout:\n  1: 2", 1), "layout: expected string keys, got 1"),
+            (
+                lambda text: text.replace("layout:", "layout:\n  1: 2", 1),
+                "layout: expected string keys, got 1",
+            ),
             (lambda text: "~: 2\n" + text, "<root>: expected string keys, got None"),
             (
                 lambda text: text.replace("125.0", "1" + "0" * 400, 1),

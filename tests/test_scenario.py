@@ -10,7 +10,6 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import cavcross
 from cavcross import (
     Arrival,
     Cardinal,
@@ -258,7 +257,9 @@ def scenarios(draw):
     times over many magnitudes and per-arrival parameter overrides."""
     times = sorted(draw(st.lists(st.floats(-1e12, 1e12), max_size=8)))
     # Printable ASCII ids go through libyaml; others through PyYAML's emitter.
-    printable = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=200)
+    printable = st.text(
+        st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=200
+    )
     ids = st.one_of(st.text(min_size=1), printable)
     ids = draw(st.lists(ids, min_size=len(times), max_size=len(times), unique=True))
     base = VehicleParams()
@@ -339,13 +340,14 @@ class TestWriter:
             """
         )
         out = tmp_path / "pure.yaml"
-        src = str(Path(cavcross.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        src = str(Path(scenario_module.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
         subprocess.run(
             [sys.executable, "-c", program, str(reference_path), str(out)], check=True, env=env
         )
-        scenario = load_scenario(reference_path)
-        assert out.read_bytes() == yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False).encode()
+        expected = yaml.safe_dump(scenario_to_dict(load_scenario(reference_path)), sort_keys=False)
+        assert out.read_bytes() == expected.encode()
 
 
 class TestGenerator:
