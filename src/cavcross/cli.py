@@ -7,16 +7,17 @@ parse/validation error, 3 planning failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
-import math
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -50,39 +51,74 @@ TRAJECTORY_CSV_HEADER = [
 ]
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            # In slices, so that no encoded copy of the whole text is made.
-            for start in range(0, len(text), 1 << 16):
-                handle.write(text[start : start + (1 << 16)])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+# Rows per chunk of the streaming writer.  A chunk ends at the first change
+# of sample time at or after this many rows, so no pivot row is split.
+_CHUNK_ROWS = 1000
+
+_PLOT_COLUMNS = ("position", "speed", "accel", "rear_margin")
 
 
-class _Cells:
-    """A run's sampled values, each formatted once with `repr`."""
+class _Chunk:
+    """Rows [start, stop) of a run's log, which begin and end at a change of
+    sample time, with each sampled value formatted once with `repr`."""
 
-    def __init__(self, log: Samples):
+    def __init__(self, log: Samples, start: int, stop: int, labels: list[str]):
+        t = log.t[start:stop]
+        self.vehicle = log.vehicle[start:stop]
+        self.n_vehicles = len(log.vehicle_ids)
+        # Per vehicle of the run: ",<id>,<lane>," as trajectory.csv writes it.
+        self.labels = labels
+        new_time = np.ones(len(t), dtype=bool)
+        new_time[1:] = t[1:] != t[:-1]
+        self.first_rows = np.flatnonzero(new_time)
         # Python floats: under numpy 2 the repr of an np.float64 names the type.
-        new_time = np.ones(len(log.t), dtype=bool)
-        new_time[1:] = log.t[1:] != log.t[:-1]
-        # Each distinct sample time, ascending, and per row its index here.
-        self.times = list(map(repr, log.t[new_time].tolist()))
+        # Each distinct sample time, ascending, after a line break; per row
+        # the index of its time here.
+        self.starts = ["\n" + text for text in map(repr, t[new_time].tolist())]
         self.time_index = np.cumsum(new_time) - 1
         # Per row; "" where there is no value.
         self.columns = {
-            name: list(map(repr, getattr(log, name).tolist()))
+            name: list(map(repr, getattr(log, name)[start:stop].tolist()))
             for name in ("position", "speed", "accel")
         }
-        self.columns["rear_margin"] = [
-            "" if math.isnan(m) else repr(m) for m in log.rear_margin.tolist()
-        ]
+        margin = log.rear_margin[start:stop]
+        known = ~np.isnan(margin)
+        cells = np.full(len(margin), "", dtype=object)
+        cells[known] = list(map(repr, margin[known].tolist()))
+        self.columns["rear_margin"] = cells.tolist()
+
+    @functools.cached_property
+    def pivot_separators(self) -> tuple[list[str], str]:
+        """The pivot text before each row's cell, and after the chunk's last.
+
+        The rows of one time are in registration order.  Before a cell come
+        one comma per step in vehicle index from the previous cell of its
+        time, or from the time's own field, which opens the line; after a
+        time's last cell come the commas of the vehicles past it.
+        """
+        vehicle = self.vehicle
+        previous = np.empty_like(vehicle)
+        previous[1:] = vehicle[:-1]
+        previous[self.first_rows] = -1
+        separators = ["," * k for k in (vehicle - previous).tolist()]
+        last_rows = np.append(self.first_rows[1:] - 1, len(vehicle) - 1)
+        tails = ["," * k for k in (self.n_vehicles - 1 - vehicle[last_rows]).tolist()]
+        for row, start, tail in zip(self.first_rows.tolist(), self.starts, ["", *tails]):
+            separators[row] = tail + start + separators[row]
+        return separators, tails[-1]
+
+
+def _chunks(log: Samples) -> Iterator[_Chunk]:
+    """The log in consecutive chunks of about `_CHUNK_ROWS` rows."""
+    labels = [_csv_row(["", vid, lane, ""]) for vid, lane in zip(log.vehicle_ids, log.lanes)]
+    start = 0
+    while start < len(log):
+        # Through the last row of the time of the chunk's last row: rows are
+        # ordered by time, so that time's rows are contiguous.
+        last = min(start + _CHUNK_ROWS, len(log)) - 1
+        stop = int(np.searchsorted(log.t, log.t[last], side="right"))
+        yield _Chunk(log, start, stop, labels)
+        start = stop
 
 
 def _csv_row(fields: list) -> str:
@@ -92,33 +128,40 @@ def _csv_row(fields: list) -> str:
     return buf.getvalue()[:-1]
 
 
-def trajectory_csv(result: RunResult, cells: Optional[_Cells] = None) -> str:
-    log = result.log
-    cells = _Cells(log) if cells is None else cells
+def _pivot_header(log: Samples) -> str:
+    return _csv_row(["t", *log.vehicle_ids])
+
+
+def trajectory_csv(result: RunResult, chunk: Optional[_Chunk] = None) -> str:
+    """trajectory.csv: one line per sampled row.  Given a chunk, only that
+    chunk's lines, each led by its line break."""
+    if chunk is None:
+        lines = [trajectory_csv(result, c) for c in _chunks(result.log)]
+        return "".join([_csv_row(TRAJECTORY_CSV_HEADER), *lines, "\n"])
     # Every field and separator is one list item, joined once, so no string
     # per row is built: a row is "\n<t>" ",<id>,<lane>," p "," v "," a "," m.
-    parts = [","] * (9 * len(log) + 2)
-    parts[0] = _csv_row(TRAJECTORY_CSV_HEADER)
-    starts = ["\n" + t for t in cells.times]
-    parts[1:-1:9] = [starts[i] for i in cells.time_index.tolist()]
-    labels = [_csv_row(["", vid, lane, ""]) for vid, lane in zip(log.vehicle_ids, log.lanes)]
-    parts[2:-1:9] = [labels[i] for i in log.vehicle.tolist()]
-    for offset, column in enumerate(("position", "speed", "accel", "rear_margin")):
-        parts[3 + 2 * offset : -1 : 9] = cells.columns[column]
-    parts[-1] = "\n"
+    parts = [","] * (9 * len(chunk.vehicle))
+    parts[0::9] = [chunk.starts[i] for i in chunk.time_index.tolist()]
+    parts[1::9] = [chunk.labels[v] for v in chunk.vehicle.tolist()]
+    for offset, column in enumerate(_PLOT_COLUMNS):
+        parts[2 + 2 * offset :: 9] = chunk.columns[column]
     return "".join(parts)
 
 
-def _wide_series_csv(result: RunResult, column: str, cells: _Cells) -> str:
-    """One row per sample time, one column per vehicle in registration order;
-    a cell is empty where the vehicle has no value at that time."""
-    log = result.log
-    grid = np.full((len(cells.times), len(log.vehicle_ids)), "", dtype=object)
-    grid[cells.time_index, log.vehicle] = cells.columns[column]
-    lines = [_csv_row(["t", *log.vehicle_ids])]
-    lines += (t + "," + ",".join(row) for t, row in zip(cells.times, grid.tolist()))
-    lines.append("")
-    return "\n".join(lines)
+def _wide_series_csv(result: RunResult, column: str, chunk: Optional[_Chunk] = None) -> str:
+    """plots/<column>.csv: one line per sample time, one column per vehicle
+    in registration order; a cell is empty where the vehicle has no value at
+    that time.  Given a chunk, only that chunk's lines, each led by its line
+    break."""
+    if chunk is None:
+        lines = [_wide_series_csv(result, column, c) for c in _chunks(result.log)]
+        return "".join([_pivot_header(result.log), *lines, "\n"])
+    separators, tail = chunk.pivot_separators
+    parts = [""] * (2 * len(separators))
+    parts[0::2] = separators
+    parts[1::2] = chunk.columns[column]
+    parts.append(tail)
+    return "".join(parts)
 
 
 def metrics_json(result: RunResult) -> str:
@@ -143,21 +186,54 @@ def metrics_json(result: RunResult) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@contextlib.contextmanager
+def _staged(paths: list[Path]) -> Iterator[list[TextIO]]:
+    """Text handles on temporary files beside `paths`.  Once the block ends
+    cleanly each file replaces its path; if it raises, all are removed and
+    every path keeps what it held."""
+    tmps: list[str] = []
+    handles: list[TextIO] = []
+    try:
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            tmps.append(tmp)
+            handles.append(os.fdopen(fd, "w", newline=""))
+        yield handles
+        for handle in handles:
+            handle.close()
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for handle in handles:
+            with contextlib.suppress(OSError):
+                handle.close()
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
+
+
 def write_outputs(result: RunResult, out_dir: Path) -> None:
-    _atomic_write(out_dir / "metrics.json", metrics_json(result))
-    _atomic_write(
-        out_dir / "protocol.json",
-        json.dumps({"entries": result.protocol.to_records()}, indent=2, sort_keys=True)
-        + "\n",
-    )
-    # The formatted cells are the largest objects of a run; the JSON files
-    # are written before they exist so that the two peaks do not add up.
-    cells = _Cells(result.log)
-    _atomic_write(out_dir / "trajectory.csv", trajectory_csv(result, cells))
-    for column in ("position", "speed", "accel", "rear_margin"):
-        _atomic_write(
-            out_dir / "plots" / f"{column}.csv", _wide_series_csv(result, column, cells)
-        )
+    """Write every artifact in one pass over the log, a chunk at a time, so
+    that memory does not grow with the run.  No file replaces the previous
+    run's until all of them are written."""
+    log = result.log
+    paths = [out_dir / name for name in ("metrics.json", "protocol.json", "trajectory.csv")]
+    paths += [out_dir / "plots" / f"{column}.csv" for column in _PLOT_COLUMNS]
+    with _staged(paths) as (metrics, protocol, trajectory, *plots):
+        metrics.write(metrics_json(result))
+        records = result.protocol.to_records()
+        protocol.write(json.dumps({"entries": records}, indent=2, sort_keys=True) + "\n")
+        trajectory.write(_csv_row(TRAJECTORY_CSV_HEADER))
+        for plot in plots:
+            plot.write(_pivot_header(log))
+        for chunk in _chunks(log):
+            trajectory.write(trajectory_csv(result, chunk))
+            for plot, column in zip(plots, _PLOT_COLUMNS):
+                plot.write(_wide_series_csv(result, column, chunk))
+        for handle in (trajectory, *plots):
+            handle.write("\n")
 
 
 def _resolve_out_dir(arg: Optional[str]) -> Path:

@@ -18,6 +18,10 @@ LaneId = int
 
 _EPS = 1e-9
 
+# The most lanes an approach may have.  Lanes are numbered with `range`,
+# which a count past a C ssize_t overflows.
+MAX_LANES_PER_APPROACH = 8
+
 
 class Cardinal(str, Enum):
     """Compass point where a vehicle enters or exits the control zone."""
@@ -110,8 +114,10 @@ class IntersectionLayout:
             raise ValueError("right_turn_radius must not exceed merging_zone_side")
         if self.left_turn_radius > self.merging_zone_side + _EPS:
             raise ValueError("left_turn_radius must not exceed merging_zone_side")
-        if self.lanes_per_approach < 1:
-            raise ValueError("lanes_per_approach must be at least 1")
+        if not 1 <= self.lanes_per_approach <= MAX_LANES_PER_APPROACH:
+            raise ValueError(
+                f"lanes_per_approach must be between 1 and {MAX_LANES_PER_APPROACH}"
+            )
 
     # -- lane numbering ----------------------------------------------------
     # Global lane ids: approaches in N, E, S, W order, each contributing

@@ -11,7 +11,7 @@ layout:
   merging_zone_side_m: float     # side of the central square
   right_turn_radius_m: float     # optional, default merging_zone_side_m / 2
   left_turn_radius_m: float      # optional, default merging_zone_side_m
-  lanes_per_approach: int        # optional, default 1
+  lanes_per_approach: int        # optional, default 1, at most 8
 
 defaults:                        # vehicle parameters, overridable per arrival
   accel_min_mps2: float          # < 0

@@ -10,11 +10,15 @@ per probe and evaluates it with verbatim copies of the original methods),
 its skips over the 1 ms grid by its previous search, which probes every
 grid point, the protocol's indexed predecessor query by a scan of every
 entry, and the run's sampled log and violations by the original per-step
-object loop, and the RK4 cross-check by its original scalar step loop.
+object loop, the RK4 cross-check by its original scalar step loop, and
+the streamed CSV artifacts by the original whole-run writer, which formats
+every cell at once and pivots each plot through a times x vehicles grid.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -57,7 +61,7 @@ from cavcross.planner import (
     _tightened_params,
     _within_caps,
 )
-from cavcross.simulation import IntegrationCheck
+from cavcross.simulation import IntegrationCheck, RunResult, Samples
 from cavcross.trajectory import (
     _INVERT_TOL,
     BoundViolation,
@@ -957,3 +961,67 @@ def integrate_dynamics_loop(
         max_dp = max(max_dp, abs(p - ref.position))
         max_dv = max(max_dv, abs(v - ref.speed))
     return IntegrationCheck(max_dp, max_dv)
+
+
+class _Cells:
+    """The original writer's formatted run: a run's sampled values, each
+    formatted once with `repr`."""
+
+    def __init__(self, log: Samples):
+        new_time = np.ones(len(log.t), dtype=bool)
+        new_time[1:] = log.t[1:] != log.t[:-1]
+        # Each distinct sample time, ascending, and per row its index here.
+        self.times = list(map(repr, log.t[new_time].tolist()))
+        self.time_index = np.cumsum(new_time) - 1
+        # Per row; "" where there is no value.
+        self.columns = {
+            name: list(map(repr, getattr(log, name).tolist()))
+            for name in ("position", "speed", "accel")
+        }
+        self.columns["rear_margin"] = [
+            "" if math.isnan(m) else repr(m) for m in log.rear_margin.tolist()
+        ]
+
+
+def _csv_row(fields: list) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
+
+
+TRAJECTORY_CSV_HEADER_REFERENCE = [
+    "t", "vehicle_id", "lane", "position_m", "speed_mps", "accel_mps2", "rear_margin_m",
+]
+
+
+def _trajectory_csv_whole(log: Samples, cells: _Cells) -> str:
+    parts = [","] * (9 * len(log) + 2)
+    parts[0] = _csv_row(TRAJECTORY_CSV_HEADER_REFERENCE)
+    starts = ["\n" + t for t in cells.times]
+    parts[1:-1:9] = [starts[i] for i in cells.time_index.tolist()]
+    labels = [_csv_row(["", vid, lane, ""]) for vid, lane in zip(log.vehicle_ids, log.lanes)]
+    parts[2:-1:9] = [labels[i] for i in log.vehicle.tolist()]
+    for offset, column in enumerate(("position", "speed", "accel", "rear_margin")):
+        parts[3 + 2 * offset : -1 : 9] = cells.columns[column]
+    parts[-1] = "\n"
+    return "".join(parts)
+
+
+def _wide_series_grid(log: Samples, column: str, cells: _Cells) -> str:
+    grid = np.full((len(cells.times), len(log.vehicle_ids)), "", dtype=object)
+    grid[cells.time_index, log.vehicle] = cells.columns[column]
+    lines = [_csv_row(["t", *log.vehicle_ids])]
+    lines += (t + "," + ",".join(row) for t, row in zip(cells.times, grid.tolist()))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def csv_artifacts_whole_run(result: RunResult) -> dict[str, str]:
+    """The five CSV artifacts of a run, by their path under the output
+    directory, as the original whole-run writer formats them."""
+    log = result.log
+    cells = _Cells(log)
+    texts = {"trajectory.csv": _trajectory_csv_whole(log, cells)}
+    for column in ("position", "speed", "accel", "rear_margin"):
+        texts[f"plots/{column}.csv"] = _wide_series_grid(log, column, cells)
+    return texts

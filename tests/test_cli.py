@@ -1,11 +1,27 @@
 import csv
+import dataclasses
+import itertools
 import json
 import textwrap
+import tracemalloc
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from cavcross import (
+    IntersectionLayout,
+    Policy,
+    SimulationError,
+    generate_random_scenario,
+    load_scenario,
+    run,
+)
+from cavcross import cli
 from cavcross.cli import (
+    EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PLANNING,
@@ -13,8 +29,8 @@ from cavcross.cli import (
     TRAJECTORY_CSV_HEADER,
     main,
     trajectory_csv,
+    write_outputs,
 )
-from cavcross import load_scenario, run
 
 
 MINIMAL = textwrap.dedent(
@@ -148,8 +164,16 @@ class TestRunCommand:
                 lambda text: text.replace("125.0", "1" + "0" * 400, 1),
                 "layout.control_zone_length_m: value out of range for a float",
             ),
+            (
+                lambda text: text.replace("layout:", "layout:\n  lanes_per_approach: 1" + "0" * 400, 1),
+                "layout: lanes_per_approach must be between 1 and 8",
+            ),
+            (
+                lambda text: text.replace("layout:", "layout:\n  lanes_per_approach: 9", 1),
+                "layout: lanes_per_approach must be between 1 and 8",
+            ),
         ],
-        ids=["layout-int-key", "root-null-key", "huge-integer"],
+        ids=["layout-int-key", "root-null-key", "huge-integer", "huge-lane-count", "nine-lanes"],
     )
     @pytest.mark.parametrize("command", ["run", "plan"])
     def test_malformed_document_parse_exit(self, tmp_path, capsys, command, edit, message):
@@ -292,3 +316,137 @@ class TestGoldenDeterminism:
     def test_repeated_runs_identical_bytes(self, reference_path):
         scenario = load_scenario(reference_path)
         assert trajectory_csv(run(scenario)) == trajectory_csv(run(scenario))
+
+
+CSV_FILES = (
+    "trajectory.csv",
+    "plots/position.csv",
+    "plots/speed.csv",
+    "plots/accel.csv",
+    "plots/rear_margin.csv",
+)
+
+
+def _first_difference(got: str, want: str):
+    """None if the texts are equal, else their first differing lines and
+    its number, which keeps a failure's report short."""
+    if got == want:
+        return None
+    for number, pair in enumerate(itertools.zip_longest(got.split("\n"), want.split("\n"))):
+        if pair[0] != pair[1]:
+            return number, *pair
+
+
+def _artifacts(out_dir):
+    return {
+        str(p.relative_to(out_dir)): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()
+    }
+
+
+class TestStreamingWriter:
+    """`write_outputs` streams the log in chunks; its CSV files must hold the
+    bytes of the original whole-run writer (`oracles.csv_artifacts_whole_run`)."""
+
+    @settings(max_examples=30)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_vehicles=st.integers(1, 12),
+        lanes=st.integers(1, 2),
+        policy=st.sampled_from(list(Policy)),
+        mean_gap=st.floats(1.0, 4.0),
+        dt=st.sampled_from([0.01, 0.05, 0.1, 0.25]),
+        chunk_rows=st.integers(1, 6),
+    )
+    def test_matches_whole_run_writer(
+        self, tmp_path_factory, seed, n_vehicles, lanes, policy, mean_gap, dt, chunk_rows
+    ):
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=n_vehicles,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            policy=policy,
+            mean_gap=mean_gap,
+        )
+        try:
+            result = run(dataclasses.replace(scenario, dt=dt))
+        except SimulationError:
+            assume(False)
+        expected = oracles.csv_artifacts_whole_run(result)
+        out = tmp_path_factory.mktemp("out")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+            write_outputs(result, out)
+        written = _artifacts(out)
+        for name in CSV_FILES:
+            assert _first_difference(written[name].decode(), expected[name]) is None, name
+        # The whole texts, at the module's own chunk size.
+        whole = {"trajectory.csv": trajectory_csv(result)}
+        for column in cli._PLOT_COLUMNS:
+            whole[f"plots/{column}.csv"] = cli._wide_series_csv(result, column)
+        for name in CSV_FILES:
+            assert _first_difference(whole[name], expected[name]) is None, name
+
+    def test_zero_arrivals(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text(MINIMAL.split("arrivals:")[0] + "arrivals: []\n")
+        result = run(load_scenario(path))
+        assert len(result.log) == 0
+        write_outputs(result, tmp_path / "out")
+        written = _artifacts(tmp_path / "out")
+        assert written["trajectory.csv"] == (",".join(TRAJECTORY_CSV_HEADER) + "\n").encode()
+        for name in CSV_FILES[1:]:
+            assert written[name] == b"t\n"
+        assert trajectory_csv(result) == written["trajectory.csv"].decode()
+
+    def test_memory_stays_bounded(self, tmp_path):
+        # 73,469 rows; the whole-run writer peaked at 37.3 MiB here.
+        result = run(generate_random_scenario(seed=1, n_vehicles=40, mean_gap=2.0))
+        tracemalloc.start()
+        try:
+            write_outputs(result, tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("formatter", ["trajectory_csv", "_wide_series_csv"])
+    def test_failure_leaves_previous_artifacts(
+        self, reference_path, out_dir, monkeypatch, formatter
+    ):
+        scenario = load_scenario(reference_path)
+        write_outputs(run(scenario), out_dir)
+        before = _artifacts(out_dir)
+        fifo = run(dataclasses.replace(scenario, policy=Policy.FIFO))
+        real = getattr(cli, formatter)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 5:
+                raise RuntimeError("formatter failed")
+            return real(*args)
+
+        monkeypatch.setattr(cli, formatter, failing)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            write_outputs(fifo, out_dir)
+        assert len(calls) == 5
+        assert _artifacts(out_dir) == before
+        assert not list(out_dir.glob("*.tmp")) and not list((out_dir / "plots").glob("*.tmp"))
+
+    def test_io_failure_exits_io_and_keeps_artifacts(
+        self, reference_path, out_dir, monkeypatch, capsys
+    ):
+        assert main(["run", str(reference_path), "--out", str(out_dir)]) == EXIT_OK
+        before = _artifacts(out_dir)
+        real = cli._wide_series_csv
+
+        def failing(result, column, chunk=None):
+            if column == "rear_margin":
+                raise OSError("disk full")
+            return real(result, column, chunk)
+
+        monkeypatch.setattr(cli, "_wide_series_csv", failing)
+        code = main(["run", str(reference_path), "--policy", "fifo", "--out", str(out_dir)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.endswith("i/o error: disk full\n")
+        assert _artifacts(out_dir) == before

@@ -10,6 +10,7 @@ from cavcross import (
     TurnKind,
     conflicts,
 )
+from cavcross.geometry import MAX_LANES_PER_APPROACH
 
 import oracles
 
@@ -57,6 +58,13 @@ class TestLayoutValidation:
             IntersectionLayout(control_zone_length=-1.0)
         with pytest.raises(ValueError):
             IntersectionLayout(lanes_per_approach=0)
+
+    def test_lane_count_cap(self):
+        layout = IntersectionLayout(lanes_per_approach=MAX_LANES_PER_APPROACH)
+        assert layout.lanes_for_approach(W)[-1] == 4 * MAX_LANES_PER_APPROACH
+        for lanes in (MAX_LANES_PER_APPROACH + 1, 10**400):
+            with pytest.raises(ValueError, match="lanes_per_approach must be between"):
+                IntersectionLayout(lanes_per_approach=lanes)
 
 
 class TestTotalDistance:
