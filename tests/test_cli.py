@@ -165,7 +165,9 @@ class TestRunCommand:
                 "layout.control_zone_length_m: value out of range for a float",
             ),
             (
-                lambda text: text.replace("layout:", "layout:\n  lanes_per_approach: 1" + "0" * 400, 1),
+                lambda text: text.replace(
+                    "layout:", "layout:\n  lanes_per_approach: 1" + "0" * 400, 1
+                ),
                 "layout: lanes_per_approach must be between 1 and 8",
             ),
             (
