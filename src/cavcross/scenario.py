@@ -4,7 +4,10 @@ A scenario is a YAML mapping with four sections.  Unknown and non-string
 keys anywhere are rejected, and so are numbers out of a float's range.
 Units are part of every field name.  Files are read as bytes and decoded by
 the YAML reader; both directions go through libyaml where PyYAML has it,
-and a saved file has the bytes of PyYAML's pure-Python `safe_dump`.
+and a saved file has the bytes of PyYAML's pure-Python `safe_dump`.  A file
+of one document of untagged maps, lists and plain scalars is built straight
+from the parser's events; PyYAML's safe composer and constructor build
+every other file, and give every error text.
 
 layout:
   control_zone_length_m: float   # approach length up to the merging zone
@@ -47,6 +50,8 @@ from pathlib import Path
 from typing import Any, Optional
 
 import yaml
+from yaml import DocumentEndEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent
+from yaml import ScalarEvent, ScalarNode, SequenceEndEvent, StreamEndEvent
 
 from .geometry import Cardinal, IntersectionLayout, Movement
 from .simulation import Arrival, Policy, Scenario
@@ -249,10 +254,81 @@ def parse_scenario_dict(doc: Any) -> Scenario:
         raise ScenarioError("arrivals", str(exc)) from None
 
 
-def load_scenario(path: str | Path) -> Scenario:
+_STR_TAG = "tag:yaml.org,2002:str"
+_PLAIN_TAGS = {_STR_TAG} | {f"tag:yaml.org,2002:{t}" for t in ("int", "float", "bool", "null")}
+
+
+class _NotPlain(Exception):
+    """The document needs PyYAML's composer and constructor."""
+
+
+class _Pairs(list):
+    """The keys and values of an open mapping, alternating."""
+
+
+def _read_document(data: bytes) -> Any:
+    """`yaml.load(data, Loader=_LOADER)` built from the parser's events.
+
+    Takes one document of untagged maps, lists and str/int/float/bool/null
+    scalars without anchors, and raises `_NotPlain` on anything else.  An
+    explicit stack holds the open collections, so depth costs no recursion.
+    """
+    loader = _LOADER(data)
     try:
-        # Bytes: the YAML reader decodes them, so bad encodings are YAML errors.
-        doc = yaml.load(Path(path).read_bytes(), Loader=_LOADER)
+        get_event, resolve = loader.get_event, loader.resolve
+        constructors = loader.yaml_constructors
+        get_event()
+        if loader.yaml_path_resolvers or type(get_event()) is not DocumentStartEvent:
+            raise _NotPlain
+        tags: dict[tuple, str] = {}
+        stack: list[list] = [[]]
+        while True:
+            event = get_event()
+            kind = type(event)
+            if kind is MappingEndEvent or kind is SequenceEndEvent:
+                items = stack.pop()
+                if kind is MappingEndEvent:
+                    # A repeated key keeps its first place and its last value.
+                    items = dict(zip(items[::2], items[1::2]))
+                stack[-1].append(items)
+                continue
+            if kind is DocumentEndEvent:
+                break
+            # An alias's `anchor` is the name it refers to.
+            if event.anchor is not None or event.tag not in (None, "!"):
+                raise _NotPlain
+            if kind is ScalarEvent:
+                value = event.value
+                key = (value, event.implicit)
+                tag = tags.get(key) or tags.setdefault(key, resolve(ScalarNode, *key))
+                if tag != _STR_TAG:
+                    if tag not in _PLAIN_TAGS:
+                        raise _NotPlain
+                    try:
+                        value = constructors[tag](loader, ScalarNode(tag, value))
+                    except ValueError:  # past int's digit limit; PyYAML parses the whole file first
+                        raise _NotPlain from None
+                stack[-1].append(value)
+            elif type(stack[-1]) is _Pairs and not len(stack[-1]) % 2:
+                raise _NotPlain  # a collection as a mapping key
+            else:
+                stack.append(_Pairs() if kind is MappingStartEvent else [])
+        if type(get_event()) is not StreamEndEvent:
+            raise _NotPlain
+        return stack[0][0]
+    finally:
+        loader.dispose()
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    # Bytes: the YAML reader decodes them, so bad encodings are YAML errors.
+    data = Path(path).read_bytes()
+    try:
+        try:
+            doc = _read_document(data)
+        except (_NotPlain, yaml.YAMLError):
+            # PyYAML builds the rest, and words every error as it always has.
+            doc = yaml.load(data, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark is not None else "document"

@@ -4,10 +4,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from cavcross import IntersectionLayout, VehicleParams
+from cavcross import scenario as scenario_module
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_SCENARIO = REPO_ROOT / "scenarios" / "reference.yaml"
@@ -37,3 +39,16 @@ def params() -> VehicleParams:
 @pytest.fixture
 def reference_path() -> Path:
     return REFERENCE_SCENARIO
+
+
+@pytest.fixture(params=["libyaml", "pure"])
+def yaml_loader(request, monkeypatch):
+    """Scenario files read through libyaml's parser, then through PyYAML's own."""
+    if request.param == "libyaml":
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML was built without libyaml")
+        loader = yaml.CSafeLoader
+    else:
+        loader = yaml.SafeLoader
+    monkeypatch.setattr(scenario_module, "_LOADER", loader)
+    return loader

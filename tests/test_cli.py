@@ -192,6 +192,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("scenario error: document: not valid YAML")
 
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ("\n" + "- " * 20000 + "1", "layout: expected a mapping, got list"),
+            ("{k: " * 3000 + "1" + "}" * 3000, "layout: unknown keys: k"),
+        ],
+        ids=["list-20000-deep", "map-3000-deep"],
+    )
+    def test_deep_nesting_parse_exit(self, tmp_path, capsys, yaml_loader, layout, message):
+        # The reader keeps its own stack: no depth reaches Python's recursion limit.
+        bad = tmp_path / "deep.yaml"
+        bad.write_text(f"layout: {layout}\n" + MINIMAL[MINIMAL.index("defaults:"):])
+        assert main(["plan", str(bad), "--vehicle", "a"]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
+
     def test_planning_failure_exit(self, tmp_path, capsys):
         gridlock = tmp_path / "gridlock.yaml"
         gridlock.write_text(

@@ -350,6 +350,116 @@ class TestWriter:
         assert out.read_bytes() == expected.encode()
 
 
+# Strings that resolve to other types when plain, so the dumper quotes them.
+_LOOKALIKES = [
+    "1", "-0", "0x1F", "0o17", "017", "1_000", "190:20:30", "1.5e3", "6.8523015e+5",
+    ".inf", "-.Inf", ".NaN", "true", "No", "off", "~", "null", "", "2001-12-14",
+    "2001-12-14t21:59:43.10-05:00", "<<", "=", " a", "a: b", "- x", "#c", "!x", "&a", "*a",
+]
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from(_LOOKALIKES),
+)
+_KEYS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+                  st.sampled_from(_LOOKALIKES))
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+_HAND_WRITTEN = {
+    # name: (bytes, whether the event reader builds them itself)
+    "alias": (b"a: &x [1]\nb: *x\n", False),
+    "anchor": (b"a: &x 1\n", False),
+    "merge-key": (b"base: &b {x: 1}\nm:\n  <<: *b\n  y: 2\n", False),
+    "merge-key-inline": (b"m:\n  <<: {x: 1}\n  y: 2\n", False),
+    "value-key": (b"=: 1\n", False),
+    "timestamp": (b"t: 2001-12-14\n", False),
+    "set": (b"!!set {a, b}\n", False),
+    "explicit-tag": (b"a: !!str 12\n", False),
+    "unknown-tag": (b"a: !point 1\n", False),
+    "collection-key": (b"? [a, b]\n: 1\n", False),
+    "two-documents": (b"a: 1\n---\nb: 2\n", False),
+    "empty-stream": (b"", False),
+    "comment-only": (b"# nothing\n", False),
+    "long-integer": (b"a: " + b"1" * 5000 + b"\n", False),
+    "long-integer-then-error": (b"a: " + b"1" * 5000 + b"\nb: [\n", False),
+    "bare-scalar": (b"42\n", True),
+    "yaml-directive": (b"%YAML 1.1\n---\na: 1\n", True),
+    "utf8-bom": (b"\xef\xbb\xbfa: [1, b]\n", True),
+    "utf16-bom": ("a: [1, b]\n".encode("utf-16"), True),
+    "non-specific-tag": (b"a: ! 12\nb: ! [1]\n", True),
+    "duplicate-keys": (b"a: 1\nb: 2\na: 3\n1: x\ntrue: y\n1.0: z\n", True),
+    "nulls-and-bools": (b"a: ~\nb: null\nc:\nd: yes\ne: Off\n? f\n", True),
+    "null-key": (b"~: 1\n", True),
+    "invalid-utf8": (b"a: 1\nb: caf\xff\n", True),
+    "syntax-error": (b"a: 1\nb: [1, 2\nc: 3\n", True),
+    "unclosed-quote": (b"a: 1\nb: 'x\n", True),
+}
+
+
+def _outcome(read, data):
+    """`repr` of what `read` builds, or the type and text of what it raises."""
+    try:
+        return repr(read(data))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestEventReader:
+    """`_read_document` builds what PyYAML's safe loader builds, or declines."""
+
+    def assert_reads_as_pyyaml(self, data, loader, plain=True):
+        expected = _outcome(lambda d: yaml.load(d, Loader=loader), data)
+        got = _outcome(scenario_module._read_document, data)
+        if plain:
+            assert got == expected
+        else:
+            assert got == (scenario_module._NotPlain, "")
+
+    @given(doc=_DOCUMENTS)
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_dumps(self, yaml_loader, doc):
+        for flow in (False, True, None):
+            data = yaml.safe_dump(doc, default_flow_style=flow).encode()
+            self.assert_reads_as_pyyaml(data, yaml_loader)
+        # Every node carries an explicit tag.
+        self.assert_reads_as_pyyaml(yaml.safe_dump(doc, canonical=True).encode(), yaml_loader, False)
+
+    @pytest.mark.parametrize("name", _HAND_WRITTEN)
+    def test_hand_written(self, yaml_loader, name):
+        data, plain = _HAND_WRITTEN[name]
+        self.assert_reads_as_pyyaml(data, yaml_loader, plain)
+
+    def test_path_resolvers_decline(self, yaml_loader, monkeypatch):
+        class Resolving(yaml_loader):
+            pass
+
+        # The list under the root's key `a` is an ordered map.
+        Resolving.add_path_resolver("tag:yaml.org,2002:omap", ["a"], list)
+        monkeypatch.setattr(scenario_module, "_LOADER", Resolving)
+        data = b"a: [{x: 1}, {y: 2}]\nb: [{x: 1}]\n"
+        self.assert_reads_as_pyyaml(data, Resolving, False)
+        assert yaml.load(data, Loader=Resolving) == {"a": [("x", 1), ("y", 2)], "b": [{"x": 1}]}
+
+    def test_stream_skips_pyyaml_constructor(self, yaml_loader, tmp_path, monkeypatch):
+        scenario = generate_random_scenario(seed=7, n_vehicles=300, mean_gap=3.0)
+        save_scenario(scenario, tmp_path / "dense.yaml")
+
+        def refuse(self, node):
+            raise AssertionError("PyYAML's constructor built a plain scenario file")
+
+        monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_document", refuse)
+        assert load_scenario(tmp_path / "dense.yaml") == scenario
+
+    def test_fallback_reads_other_files(self, yaml_loader, tmp_path):
+        # Anchors, aliases and merge keys go through PyYAML's constructor.
+        text = MINIMAL.replace("layout:", "layout: &layout", 1) + "sim: {<<: {dt_s: 0.02}}\n"
+        (tmp_path / "anchors.yaml").write_text(text)
+        assert load_scenario(tmp_path / "anchors.yaml") == parse_text(text)
+
+
 class TestGenerator:
     def test_reproducible(self):
         a = generate_random_scenario(seed=5, n_vehicles=5)
