@@ -383,6 +383,7 @@ _HAND_WRITTEN = {
     "two-documents": (b"a: 1\n---\nb: 2\n", False),
     "empty-stream": (b"", False),
     "comment-only": (b"# nothing\n", False),
+    # Past int()'s default limit of 4,300 digits, where it raises ValueError.
     "long-integer": (b"a: " + b"1" * 5000 + b"\n", False),
     "long-integer-then-error": (b"a: " + b"1" * 5000 + b"\nb: [\n", False),
     "bare-scalar": (b"42\n", True),
@@ -454,7 +455,7 @@ class TestEventReader:
         assert load_scenario(tmp_path / "dense.yaml") == scenario
 
     def test_fallback_reads_other_files(self, yaml_loader, tmp_path):
-        # Anchors, aliases and merge keys go through PyYAML's constructor.
+        # An anchor and a merge key: PyYAML's constructor builds the file.
         text = MINIMAL.replace("layout:", "layout: &layout", 1) + "sim: {<<: {dt_s: 0.02}}\n"
         (tmp_path / "anchors.yaml").write_text(text)
         assert load_scenario(tmp_path / "anchors.yaml") == parse_text(text)
