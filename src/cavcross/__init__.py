@@ -13,6 +13,7 @@ from .geometry import (
     LaneId,
     MergingWindow,
     Movement,
+    Route,
     TurnKind,
     conflicts,
     sample_zone_path,

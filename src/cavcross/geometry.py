@@ -10,7 +10,7 @@ along each vehicle's own path, with zero at the control-zone entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -84,6 +84,14 @@ class MergingWindow(NamedTuple):
     exit: float
 
 
+class Route(NamedTuple):
+    """A movement's admissible lanes, full path length and merging window."""
+
+    lanes: tuple[LaneId, ...]
+    total_distance: float
+    window: MergingWindow
+
+
 @dataclass(frozen=True)
 class IntersectionLayout:
     """Dimensions of the control and merging zones, in meters.
@@ -98,6 +106,7 @@ class IntersectionLayout:
     right_turn_radius: float | None = None
     left_turn_radius: float | None = None
     lanes_per_approach: int = 1
+    _routes: dict[Movement, Route] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.right_turn_radius is None:
@@ -118,6 +127,12 @@ class IntersectionLayout:
             raise ValueError(
                 f"lanes_per_approach must be between 1 and {MAX_LANES_PER_APPROACH}"
             )
+        entry, routes = self.control_zone_length, {}
+        for m in ALL_MOVEMENTS:
+            lanes, zone = self.lanes_for_approach(m.origin), self.zone_path_length(m)
+            lanes = {TurnKind.RIGHT: lanes[-1:], TurnKind.LEFT: lanes[:1]}.get(m.turn_kind, lanes)
+            routes[m] = Route(lanes, 2.0 * entry + zone, MergingWindow(entry, entry + zone))
+        object.__setattr__(self, "_routes", routes)
 
     # -- lane numbering ----------------------------------------------------
     # Global lane ids: approaches in N, E, S, W order, each contributing
@@ -139,19 +154,15 @@ class IntersectionLayout:
         order = (Cardinal.N, Cardinal.E, Cardinal.S, Cardinal.W)
         return order[(lane - 1) // self.lanes_per_approach]
 
-    def allowed_lanes(self, movement: Movement) -> tuple[LaneId, ...]:
-        """Lanes a movement may occupy on approach.
+    def route(self, movement: Movement) -> Route:
+        """A movement's lanes, path length and merging window, computed once
+        per layout.  Turning vehicles must be in the outermost lane on their
+        turning side; straight traffic may use any approach lane."""
+        return self._routes[movement]
 
-        Turning vehicles must be in the outermost lane on their turning side
-        before the merging zone; straight traffic may use any approach lane.
-        """
-        lanes = self.lanes_for_approach(movement.origin)
-        kind = movement.turn_kind
-        if kind is TurnKind.RIGHT:
-            return (lanes[-1],)
-        if kind is TurnKind.LEFT:
-            return (lanes[0],)
-        return lanes
+    def allowed_lanes(self, movement: Movement) -> tuple[LaneId, ...]:
+        """Lanes a movement may occupy on approach (see `route`)."""
+        return self._routes[movement].lanes
 
     # -- path lengths ------------------------------------------------------
 
@@ -165,12 +176,11 @@ class IntersectionLayout:
 
     def total_distance(self, movement: Movement) -> float:
         """Full path length through the control zone for this movement."""
-        return 2.0 * self.control_zone_length + self.zone_path_length(movement)
+        return self._routes[movement].total_distance
 
     def merging_window(self, movement: Movement) -> MergingWindow:
         """Positions along the path where the merging zone starts and ends."""
-        entry = self.control_zone_length
-        return MergingWindow(entry, entry + self.zone_path_length(movement))
+        return self._routes[movement].window
 
 
 # ---------------------------------------------------------------------------

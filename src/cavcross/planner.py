@@ -27,25 +27,28 @@ feasible step, so every decision is the plain scan's, bit for bit.
 Each probe does only the work that can change its verdict, in plain
 floats: the trajectory module's float kernels give it the bits, and the
 exceptions, of building and evaluating a `CubicTrajectory`; only the
-returned plan is built as one.  The lateral check sees only the conflicting
-occupancies that the vehicle can still meet: every plan enters the zone at
-or after its arrival time, so an occupancy that ends (plus buffer and slack)
-before the arrival is separated from every candidate, and a running maximum
-of exit times lets the search bisect past those.  The occupancies stay
-sorted by entry time, so the first one that rejects a candidate, and with it
-the jump target, is the same as over the full set, and the scan stops at the
-first occupancy that starts after the candidate has left the zone.  These
-skips are exact for finite times, so the entry points reject what a
-`Scenario` rejects.
+returned plan is built as one.  A plan computes each quantity once: the
+route is the layout's, the tightened bounds are the request's (`caps`), the
+first probe reuses the bounds edge's cubic, and registration takes the
+accepted probe's zone times (`PlanResult.occupancy`).  The lateral check
+sees only the conflicting occupancies that the vehicle can still meet:
+every plan enters the zone at or after its arrival time, so an occupancy
+that ends (plus buffer and slack) before the arrival is separated from
+every candidate, and a running maximum of exit times lets the search bisect
+past those.  The occupancies stay sorted by entry time, so the first one
+that rejects a candidate, and with it the jump target, is the same as over
+the full set, and the scan stops at the first occupancy that starts after
+the candidate has left the zone.  These skips are exact for finite times,
+so the entry points reject what a `Scenario` rejects.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .geometry import IntersectionLayout, LaneId, Movement
 from .protocol import CrossingProtocol, Occupancy, ProtocolEntry
@@ -107,6 +110,15 @@ _FAIL_TO_BINDING = {
 }
 
 
+class _Caps(NamedTuple):
+    """The speed and acceleration bounds a search plans within."""
+
+    u_min: float
+    u_max: float
+    v_min: float
+    v_max: float
+
+
 @dataclass(frozen=True)
 class PlanRequest:
     vehicle_id: str
@@ -114,6 +126,7 @@ class PlanRequest:
     t0: float
     v0: float
     params: VehicleParams
+    caps: _Caps = field(init=False, repr=False, compare=False)  # from params and v0, once
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.t0):
@@ -123,6 +136,7 @@ class PlanRequest:
                 f"arrival speed {self.v0} outside "
                 f"[{self.params.v_min}, {self.params.v_max}]"
             )
+        object.__setattr__(self, "caps", _tightened_params(self.params, self.v0))
 
 
 @dataclass(frozen=True)
@@ -141,6 +155,7 @@ class PlanResult:
     trajectory: CubicTrajectory
     binding_constraint: BindingConstraint
     lanes: tuple[LaneOutcome, ...]
+    occupancy: Optional[Occupancy] = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +292,25 @@ def lateral_separation(
 # Minimum-exit-time search
 # ---------------------------------------------------------------------------
 
-def _tightened_params(params: VehicleParams, v0: float) -> VehicleParams:
+def _tightened_params(params: VehicleParams, v0: float) -> _Caps:
     """Bounds pulled in by the planning margin.
 
     The given arrival speed is exempt: a vehicle arriving exactly at a speed
     limit would otherwise be unplannable, since no exit time changes v(t0).
+    Raises ValueError where the margin leaves bounds `VehicleParams` rejects.
     """
-    return VehicleParams(
+    caps = _Caps(
         u_min=params.u_min + BOUND_MARGIN,
         u_max=params.u_max - BOUND_MARGIN,
         v_min=min(params.v_min + BOUND_MARGIN, v0),
         v_max=max(params.v_max - BOUND_MARGIN, v0),
-        headway=params.headway,
-        standstill_gap=params.standstill_gap,
-        reaction_gain=params.reaction_gain,
     )
+    if not (caps.u_min < 0 < caps.u_max and 0 < caps.v_min < caps.v_max):
+        raise ValueError(f"bounds too tight for the planning margin {BOUND_MARGIN} at speed {v0}")
+    return caps
 
 
-def _bounds_lower_bracket(v0: float, s_total: float, caps: VehicleParams) -> float:
+def _bounds_lower_bracket(v0: float, s_total: float, caps: _Caps) -> float:
     """Smallest horizon not violating the speed cap or the acceleration cap.
 
     Below s_total/v0 the vehicle accelerates the whole way, so the speed
@@ -307,7 +323,7 @@ def _bounds_lower_bracket(v0: float, s_total: float, caps: VehicleParams) -> flo
     return max(t_speed, t_accel)
 
 
-def _within_caps(extrema: tuple[float, ...], caps: VehicleParams) -> bool:
+def _within_caps(extrema: tuple[float, ...], caps: _Caps) -> bool:
     """Whether speed and acceleration extrema stay inside `caps`; for a
     trajectory's `extrema`, equal to `traj.feasibility(caps).ok`."""
     min_speed, max_speed, min_accel, max_accel = extrema
@@ -327,7 +343,7 @@ class _SearchContext:
     s_total: float
     window_entry: float
     window_exit: float
-    caps: VehicleParams
+    caps: _Caps
     # The lane leader's absolute-time coefficients, t0 and tf, if any.
     leader: Optional[tuple[_Coefficients, float, float]]
     conflicting: list[Occupancy]
@@ -335,27 +351,35 @@ class _SearchContext:
     min_zone_entry: Optional[float]
 
     def check(self, tf: float) -> tuple[bool, Optional[_Fail], Optional[float]]:
-        """Full feasibility of one candidate exit time.
+        """Full feasibility of one candidate exit time: `probe` without the occupancy."""
+        return self.probe(tf)[:3]
 
-        Returns (ok, failed-constraint, detail): the detail of an entry-order
-        or lateral rejection is the zone-entry time to reach, of a rear-end
-        one the margin.
+    def probe(
+        self, tf: float, cubic: Optional[tuple[float, float, tuple[float, ...]]] = None
+    ) -> tuple[bool, Optional[_Fail], Optional[float], Optional[Occupancy]]:
+        """One probe, given the candidate's (c3, c2, extrema) if computed.
+
+        Returns (ok, failed-constraint, detail, occupancy): the detail of an
+        entry-order or lateral rejection is the zone-entry time to reach, of
+        a rear-end one the margin; the occupancy is an accepted candidate's.
         """
         req = self.request
         v0, t0, s_total = req.v0, req.t0, self.s_total
-        c3, c2, T = _boundary_cubic(v0, s_total, t0, tf)
-        extrema = _cubic_extrema(c3, c2, v0, T)
+        if cubic is None:
+            c3, c2, T = _boundary_cubic(v0, s_total, t0, tf)
+            cubic = c3, c2, _cubic_extrema(c3, c2, v0, T)
+        c3, c2, extrema = cubic
         if not _within_caps(extrema, self.caps):
-            return False, _Fail.BOUNDS, None
+            return False, _Fail.BOUNDS, None, None
         _require_monotone(extrema[0])
         t_in = _invert(c3, c2, v0, t0, tf, s_total, self.window_entry)
         if self.min_zone_entry is not None and t_in < self.min_zone_entry - SAFETY_SLACK:
-            return False, _Fail.ORDER, self.min_zone_entry
+            return False, _Fail.ORDER, self.min_zone_entry, None
         if self.leader is not None:
             coeffs = _absolute_coefficients(c3, c2, v0, 0.0, t0)
             margin = _rear_end_margin(coeffs, t0, tf, *self.leader, req.params)
             if margin < SAFETY_SLACK:
-                return False, _Fail.REAR_END, margin
+                return False, _Fail.REAR_END, margin, None
         t_out = _invert(c3, c2, v0, t0, tf, s_total, self.window_exit)
         for occ in self.conflicting:
             if t_out + self.lateral_buffer < occ.t_in - SAFETY_SLACK:
@@ -363,8 +387,9 @@ class _SearchContext:
                 # this one, so the candidate leaves before it too.
                 break
             if not t_in - self.lateral_buffer > occ.t_out + SAFETY_SLACK:
-                return False, _Fail.LATERAL, occ.t_out + self.lateral_buffer + 2.0 * SAFETY_SLACK
-        return True, None, None
+                target = occ.t_out + self.lateral_buffer + 2.0 * SAFETY_SLACK
+                return False, _Fail.LATERAL, target, None
+        return True, None, None, Occupancy(t_in, t_out)
 
 
 def _make_context(
@@ -375,7 +400,7 @@ def _make_context(
     lateral_buffer: float,
     min_zone_entry: Optional[float],
 ) -> _SearchContext:
-    window = layout.merging_window(request.movement)
+    route = layout.route(request.movement)
     lead = protocol.predecessor_on_lane(lane, request.movement.origin, request.t0)
     leader = None if lead is None else (
         lead.trajectory.absolute_coefficients(), lead.t0, lead.tf
@@ -392,10 +417,10 @@ def _make_context(
     conflicting.sort()
     return _SearchContext(
         request=request,
-        s_total=layout.total_distance(request.movement),
-        window_entry=window.entry,
-        window_exit=window.exit,
-        caps=_tightened_params(request.params, request.v0),
+        s_total=route.total_distance,
+        window_entry=route.window.entry,
+        window_exit=route.window.exit,
+        caps=request.caps,
         leader=leader,
         conflicting=conflicting,
         lateral_buffer=lateral_buffer,
@@ -403,9 +428,9 @@ def _make_context(
     )
 
 
-def _search_min_tf(
-    ctx: _SearchContext, horizon_cap: float
-) -> tuple[Optional[float], Optional[CubicTrajectory], BindingConstraint]:
+def _search_min_tf(ctx: _SearchContext, horizon_cap: float) -> tuple[
+    Optional[float], Optional[CubicTrajectory], BindingConstraint, Optional[Occupancy]
+]:
     req = ctx.request
     v0, t0, s_total = req.v0, req.t0, ctx.s_total
     t_lb = _bounds_lower_bracket(v0, s_total, ctx.caps)
@@ -415,13 +440,14 @@ def _search_min_tf(
     jump_hi = t0 + min(2.0 * s_total / v0, min(horizon_cap, t_ub))
 
     # The bracket is the bounds' edge up to rounding: start from the first
-    # exit time a few floats up that the bounds admit, if there is one.
+    # exit time a few floats up that the bounds admit, if there is one, and
+    # hand its cubic to the first probe.
     tf = t0 + t_lb
-    edge = tf
+    edge, cubic = tf, None
     for _ in range(_BOUNDS_EDGE_FLOATS):
         c3, c2, T = _boundary_cubic(v0, s_total, t0, edge)
-        if _within_caps(_cubic_extrema(c3, c2, v0, T), ctx.caps):
-            tf = edge
+        if _within_caps(extrema := _cubic_extrema(c3, c2, v0, T), ctx.caps):
+            tf, cubic = edge, (c3, c2, extrema)
             break
         edge = math.nextafter(edge, math.inf)
 
@@ -436,22 +462,23 @@ def _search_min_tf(
     last_bad: Optional[float] = None
     last_fail = _Fail.BOUNDS
     while tf <= tf_max + 1e-12:
-        ok, fail, detail = ctx.check(tf)
+        ok, fail, detail, occupancy = ctx.probe(tf, cubic)
+        cubic = None
         if ok:
             if last_bad is None:
                 traj = solve_boundary(v0, s_total, t0, tf)
-                return tf, traj, BindingConstraint.BOUNDS
+                return tf, traj, BindingConstraint.BOUNDS, occupancy
             lo, hi = last_bad, tf
             fail_at_lo = last_fail
             while hi - lo > 1e-9:
                 mid = 0.5 * (lo + hi)
-                ok_mid, fail_mid, _ = ctx.check(mid)
+                ok_mid, fail_mid, _, occupancy_mid = ctx.probe(mid)
                 if ok_mid:
-                    hi = mid
+                    hi, occupancy = mid, occupancy_mid
                 else:
                     lo, fail_at_lo = mid, fail_mid
             traj = solve_boundary(v0, s_total, t0, hi)
-            return hi, traj, _FAIL_TO_BINDING[fail_at_lo]
+            return hi, traj, _FAIL_TO_BINDING[fail_at_lo], occupancy
         last_bad, last_fail = tf, fail
         nxt = tf + DEFAULT_RESOLUTION
         if fail is _Fail.REAR_END:
@@ -478,7 +505,7 @@ def _search_min_tf(
                 else:
                     nxt = last_step_below(tf, jump_hi if below is None else t0 + below)
         tf = nxt
-    return None, None, _FAIL_TO_BINDING[last_fail]
+    return None, None, _FAIL_TO_BINDING[last_fail], None
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +572,7 @@ def min_feasible_tf(
     _check_options(lateral_buffer, horizon_cap, min_zone_entry)
     _check_lane(request, lane, layout)
     ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
-    tf, _, _ = _search_min_tf(ctx, horizon_cap)
-    return tf
+    return _search_min_tf(ctx, horizon_cap)[0]
 
 
 def plan(
@@ -572,11 +598,11 @@ def plan(
     for lane in layout.allowed_lanes(request.movement):
         ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
         searches.append((lane, *_search_min_tf(ctx, horizon_cap)))
-    outcomes = tuple(LaneOutcome(lane, tf, binding) for lane, tf, _, binding in searches)
+    outcomes = tuple(LaneOutcome(lane, tf, binding) for lane, tf, _, binding, _ in searches)
     feasible = [search for search in searches if search[1] is not None]
     if not feasible:
         raise PlanningError(
             request.vehicle_id, {o.lane: o.binding_constraint for o in outcomes}
         )
-    lane, tf, traj, binding = min(feasible, key=lambda search: (search[1], search[0]))
-    return PlanResult(lane, tf, traj, binding, outcomes)
+    lane, tf, traj, binding, occupancy = min(feasible, key=lambda search: (search[1], search[0]))
+    return PlanResult(lane, tf, traj, binding, outcomes, occupancy)

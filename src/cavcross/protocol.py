@@ -6,8 +6,9 @@ plan against the registered set.  Entries are append-only and are kept after
 their vehicle exits (metrics need them) but drop out of the active set.
 Reads are assumed instantaneous and exact.
 
-Registration computes each entry's merging-zone occupancy once and files it
-under the entry's movement, and files the entry under its lane.  Each file
+Registration files each entry's merging-zone occupancy (the planner's, which
+the run loop hands over, or computed once) under the entry's movement, and
+files the entry under its lane.  Each file
 keeps a running maximum of its occupancies' zone exit times or its entries'
 end times, so a query can bisect past the prefix that has ended.
 Conflicting movements are looked up once per protocol, and the latest zone
@@ -95,7 +96,8 @@ class CrossingProtocol:
     def get(self, vehicle_id: str) -> ProtocolEntry:
         return self._by_id[vehicle_id]
 
-    def register(self, entry: ProtocolEntry) -> None:
+    def register(self, entry: ProtocolEntry, occupancy: Optional[Occupancy] = None) -> None:
+        """File a plan; a given `occupancy` must be its zone times as `invert` gives them."""
         if entry.vehicle_id in self._by_id:
             raise DuplicateVehicleError(
                 f"vehicle {entry.vehicle_id!r} is already registered"
@@ -109,18 +111,16 @@ class CrossingProtocol:
             raise ValueError(
                 f"vehicle {entry.vehicle_id!r}: trajectory must move strictly forward"
             )
-        window = self.layout.merging_window(entry.movement)
-        occ = Occupancy(
-            entry.trajectory.invert(window.entry),
-            entry.trajectory.invert(window.exit),
-        )
+        if occupancy is None:
+            window = self.layout.merging_window(entry.movement)
+            occupancy = Occupancy(*(entry.trajectory.invert(p) for p in window))
         self._entries.append(entry)
         self._by_id[entry.vehicle_id] = entry
-        self._occupancy[entry.vehicle_id] = occ
+        self._occupancy[entry.vehicle_id] = occupancy
         self._by_lane.setdefault(entry.lane, Filed([], [])).add(entry, entry.tf)
-        self._by_movement[entry.movement].add(occ, occ.t_out)
-        if self._latest_zone_entry is None or occ.t_in > self._latest_zone_entry:
-            self._latest_zone_entry = occ.t_in
+        self._by_movement[entry.movement].add(occupancy, occupancy.t_out)
+        if self._latest_zone_entry is None or occupancy.t_in > self._latest_zone_entry:
+            self._latest_zone_entry = occupancy.t_in
 
     @property
     def latest_zone_entry(self) -> Optional[float]:

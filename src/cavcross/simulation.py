@@ -29,6 +29,7 @@ from .planner import (
     PlanningError,
     Policy,
     _check_options,
+    _tightened_params,
     lateral_separation,
     plan,
 )
@@ -64,6 +65,7 @@ class Arrival:
                 f"arrival speed {self.v0} outside "
                 f"[{self.params.v_min}, {self.params.v_max}]"
             )
+        _tightened_params(self.params, self.v0)
 
 
 @dataclass(frozen=True)
@@ -505,14 +507,8 @@ def schedule(
         plans[arrival.vehicle_id] = result
         if arrival.vehicle_id == until:
             break
-        protocol.register(
-            ProtocolEntry(
-                vehicle_id=arrival.vehicle_id,
-                trajectory=result.trajectory,
-                lane=result.lane,
-                movement=arrival.movement,
-            )
-        )
+        entry = ProtocolEntry(arrival.vehicle_id, result.trajectory, result.lane, arrival.movement)
+        protocol.register(entry, occupancy=result.occupancy)
     return protocol, plans
 
 

@@ -421,9 +421,10 @@ def _invert(
     step_tol = _INVERT_TOL * max(1.0, T)
     lo, hi = 0.0, T
     tau = T * position / s_total
+    c3_speed, c2_speed = 3.0 * c3, 2.0 * c2
     for _ in range(100):
         err = ((c3 * tau + c2) * tau + c1) * tau - position
-        speed = (3.0 * c3 * tau + 2.0 * c2) * tau + c1
+        speed = (c3_speed * tau + c2_speed) * tau + c1
         if err > 0.0:
             hi = tau
         else:

@@ -12,7 +12,9 @@ grid point, the protocol's indexed predecessor query by a scan of every
 entry, and the run's sampled log and violations by the original per-step
 object loop, the RK4 cross-check by its original scalar step loop, and
 the streamed CSV artifacts by the original whole-run writer, which formats
-every cell at once and pivots each plot through a times x vehicles grid.
+every cell at once and pivots each plot through a times x vehicles grid,
+and a layout's route records and a request's planning bounds by the
+methods that computed them on every call.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from cavcross import (
     IntersectionLayout,
     LaneId,
     LaneOutcome,
+    MergingWindow,
     Movement,
     Occupancy,
     PlanRequest,
@@ -39,6 +42,7 @@ from cavcross import (
     PlanningError,
     Policy,
     ProtocolEntry,
+    TurnKind,
     VehicleParams,
     VehiclePhase,
     Violation,
@@ -51,6 +55,7 @@ from cavcross import planner
 from cavcross.planner import (
     _BOUNDS_EDGE_FLOATS,
     _FAIL_TO_BINDING,
+    BOUND_MARGIN,
     DEFAULT_HORIZON_CAP,
     DEFAULT_RESOLUTION,
     SAFETY_SLACK,
@@ -58,7 +63,6 @@ from cavcross.planner import (
     _Fail,
     _rear_end_margin,
     _shift_cubic,
-    _tightened_params,
     _within_caps,
 )
 from cavcross.simulation import IntegrationCheck, RunResult, Samples
@@ -242,6 +246,56 @@ def make_entry(
     """Protocol entry helper for hand-built trajectories."""
     return ProtocolEntry(
         vehicle_id=vehicle_id, trajectory=traj, lane=lane, movement=movement
+    )
+
+
+# ---------------------------------------------------------------------------
+# What each plan computed anew before a layout kept one route record per
+# movement and a request its planning bounds: verbatim copies of
+# `IntersectionLayout.allowed_lanes`, `total_distance` and `merging_window`,
+# and of the planner's `_tightened_params`, which built a `VehicleParams`.
+# ---------------------------------------------------------------------------
+
+def allowed_lanes_reference(self: IntersectionLayout, movement: Movement) -> tuple[LaneId, ...]:
+    """Lanes a movement may occupy on approach.
+
+    Turning vehicles must be in the outermost lane on their turning side
+    before the merging zone; straight traffic may use any approach lane.
+    """
+    lanes = self.lanes_for_approach(movement.origin)
+    kind = movement.turn_kind
+    if kind is TurnKind.RIGHT:
+        return (lanes[-1],)
+    if kind is TurnKind.LEFT:
+        return (lanes[0],)
+    return lanes
+
+
+def total_distance_reference(self: IntersectionLayout, movement: Movement) -> float:
+    """Full path length through the control zone for this movement."""
+    return 2.0 * self.control_zone_length + self.zone_path_length(movement)
+
+
+def merging_window_reference(self: IntersectionLayout, movement: Movement) -> MergingWindow:
+    """Positions along the path where the merging zone starts and ends."""
+    entry = self.control_zone_length
+    return MergingWindow(entry, entry + self.zone_path_length(movement))
+
+
+def tightened_params_reference(params: VehicleParams, v0: float) -> VehicleParams:
+    """Bounds pulled in by the planning margin.
+
+    The given arrival speed is exempt: a vehicle arriving exactly at a speed
+    limit would otherwise be unplannable, since no exit time changes v(t0).
+    """
+    return VehicleParams(
+        u_min=params.u_min + BOUND_MARGIN,
+        u_max=params.u_max - BOUND_MARGIN,
+        v_min=min(params.v_min + BOUND_MARGIN, v0),
+        v_max=max(params.v_max - BOUND_MARGIN, v0),
+        headway=params.headway,
+        standstill_gap=params.standstill_gap,
+        reaction_gain=params.reaction_gain,
     )
 
 
@@ -520,7 +574,7 @@ def _make_context(
         s_total=layout.total_distance(request.movement),
         window_entry=window.entry,
         window_exit=window.exit,
-        caps=_tightened_params(request.params, request.v0),
+        caps=tightened_params_reference(request.params, request.v0),
         leader=leader,
         conflicting=conflicting_occupancies_scan(protocol, request.movement),
         lateral_buffer=lateral_buffer,

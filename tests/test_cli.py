@@ -174,8 +174,20 @@ class TestRunCommand:
                 lambda text: text.replace("layout:", "layout:\n  lanes_per_approach: 9", 1),
                 "layout: lanes_per_approach must be between 1 and 8",
             ),
+            (
+                lambda text: text.replace("accel_max_mps2: 3.0", "accel_max_mps2: 5.0e-7", 1),
+                "arrivals[0]: bounds too tight for the planning margin 1e-06 at speed 10.0",
+            ),
+            (
+                lambda text: text.replace("speed_max_mps: 18.0", "speed_max_mps: 2.0000015", 1)
+                .replace("speed_mps: 10.0", "speed_mps: 2.000001", 1),
+                "arrivals[0]: bounds too tight for the planning margin 1e-06 at speed 2.000001",
+            ),
         ],
-        ids=["layout-int-key", "root-null-key", "huge-integer", "huge-lane-count", "nine-lanes"],
+        ids=[
+            "layout-int-key", "root-null-key", "huge-integer", "huge-lane-count", "nine-lanes",
+            "accel-max-inside-margin", "speed-band-inside-margin",
+        ],
     )
     @pytest.mark.parametrize("command", ["run", "plan"])
     def test_malformed_document_parse_exit(self, tmp_path, capsys, command, edit, message):

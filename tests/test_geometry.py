@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cavcross import (
     ALL_MOVEMENTS,
     Cardinal,
     IntersectionLayout,
     Movement,
+    Route,
     TurnKind,
     conflicts,
 )
@@ -145,6 +149,47 @@ class TestAllowedLanes:
                 assert layout.lane_approach(lane) == approach
         with pytest.raises(ValueError):
             layout.lane_approach(9)
+
+
+@st.composite
+def layouts(draw):
+    """A valid layout: any lane count, drawn zone sizes, default or drawn radii."""
+    side = draw(st.floats(0.5, 200.0))
+    radius = st.one_of(st.none(), st.floats(1e-3, 1.0).map(lambda f: f * side))
+    return IntersectionLayout(
+        control_zone_length=draw(st.floats(0.0, 1000.0)),
+        merging_zone_side=side,
+        right_turn_radius=draw(radius),
+        left_turn_radius=draw(radius),
+        lanes_per_approach=draw(st.integers(1, MAX_LANES_PER_APPROACH)),
+    )
+
+
+class TestRouteRecord:
+    """Each movement's route record, computed once per layout, holds what the
+    methods it replaced computed on every call, bit for bit."""
+
+    @given(layout=layouts())
+    def test_matches_per_call_methods(self, layout):
+        for movement in ALL_MOVEMENTS:
+            route = layout.route(movement)
+            expected = Route(
+                oracles.allowed_lanes_reference(layout, movement),
+                oracles.total_distance_reference(layout, movement),
+                oracles.merging_window_reference(layout, movement),
+            )
+            assert repr(route) == repr(expected)
+            assert layout.allowed_lanes(movement) == expected.lanes
+            assert repr(layout.total_distance(movement)) == repr(expected.total_distance)
+            assert repr(layout.merging_window(movement)) == repr(expected.window)
+
+    def test_not_part_of_equality_or_repr(self):
+        layout = IntersectionLayout(lanes_per_approach=2)
+        assert layout == IntersectionLayout(lanes_per_approach=2)
+        assert hash(layout) == hash(IntersectionLayout(lanes_per_approach=2))
+        assert "_routes" not in repr(layout)
+        wider = dataclasses.replace(layout, lanes_per_approach=3)
+        assert wider.allowed_lanes(Movement(W, E)) == (10, 11, 12)
 
 
 class TestConflicts:

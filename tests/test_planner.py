@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from cavcross import (
     ALL_MOVEMENTS,
+    Arrival,
     BindingConstraint,
     Cardinal,
     CrossingProtocol,
     IntersectionLayout,
     Movement,
+    Occupancy,
     PlanRequest,
     PlanningError,
     Policy,
@@ -760,10 +762,14 @@ class TestNearBoundary:
 
 
 class TestProbeCount:
-    """The search's work, in full probes (`_SearchContext.check`) under both
+    """The search's work, in full probes (`_SearchContext.probe`) under both
     policies: on the 300-vehicle stream the `dense_plan` benchmark plans, on
     the reference scenario, and up to an overloaded stream's first refusal.
-    The kernel that lands on the entry-time edges inverts no trajectory."""
+    The kernel that lands on the entry-time edges inverts no trajectory, and
+    registration inverts none either: it takes the accepted probe's zone
+    times.  On the 300-vehicle stream no plan builds a `VehicleParams`, and
+    the boundary cubic is computed once less per plan than when the first
+    probe evaluated the bounds edge again."""
 
     # 1,155 probes when written; 5,289 while the scan probed each 1 ms step
     # through rear-end rejections, 13,366 when each edge was bisected anew.
@@ -774,53 +780,82 @@ class TestProbeCount:
     # Per policy, up to veh30's refusal: ~4,900 when written; ~30,500 while
     # the scan probed each 1 ms step.
     REFUSAL_PROBE_BOUND = 6_000
+    # 2,029 boundary cubics when written (edge floats, probes and returned
+    # plans); 2,629 while the first probe evaluated the bounds edge again.
+    BOUNDARY_CUBIC_BOUND = 2_400
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = dict(check=0, kernel=0, invert_in_kernel=0)
-        in_kernel = False
-        check, kernel, invert = (
-            planner._SearchContext.check, planner._least_horizon_behind, trajectory._invert
+        calls = dict(
+            probe=0, kernel=0, register=0, boundary_cubic=0, params=0,
+            invert_in_kernel=0, invert_in_register=0,
         )
+        inside = dict(kernel=False, register=False)
+        invert = trajectory._invert
 
-        def counted_check(self, tf):
-            calls["check"] += 1
-            return check(self, tf)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        def watched_kernel(*args):
-            nonlocal in_kernel
-            calls["kernel"] += 1
-            in_kernel = True
-            try:
-                return kernel(*args)
-            finally:
-                in_kernel = False
+            return wrapper
+
+        def watched(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                inside[name] = True
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside[name] = False
+
+            return wrapper
 
         def watched_invert(*args):
-            calls["invert_in_kernel"] += in_kernel
+            calls["invert_in_kernel"] += inside["kernel"]
+            calls["invert_in_register"] += inside["register"]
             return invert(*args)
 
-        monkeypatch.setattr(planner._SearchContext, "check", counted_check)
-        monkeypatch.setattr(planner, "_least_horizon_behind", watched_kernel)
+        cubic = counted("boundary_cubic", trajectory._boundary_cubic)
+        monkeypatch.setattr(
+            planner._SearchContext, "probe", counted("probe", planner._SearchContext.probe)
+        )
+        monkeypatch.setattr(
+            planner, "_least_horizon_behind", watched("kernel", planner._least_horizon_behind)
+        )
+        monkeypatch.setattr(
+            CrossingProtocol, "register", watched("register", CrossingProtocol.register)
+        )
+        monkeypatch.setattr(
+            VehicleParams, "__post_init__", counted("params", VehicleParams.__post_init__)
+        )
         monkeypatch.setattr(planner, "_invert", watched_invert)
         monkeypatch.setattr(trajectory, "_invert", watched_invert)
+        monkeypatch.setattr(planner, "_boundary_cubic", cubic)
+        monkeypatch.setattr(trajectory, "_boundary_cubic", cubic)
         yield calls
         assert calls["invert_in_kernel"] == 0
+        assert calls["invert_in_register"] == 0
 
     def test_dense_stream(self, calls):
         scenario = generate_random_scenario(seed=7, n_vehicles=300, mean_gap=3.0)
+        params_built = calls["params"]
         for policy in Policy:
             _, plans = schedule(dataclasses.replace(scenario, policy=policy))
             assert len(plans) == 300
         assert calls["kernel"] > 0
-        assert calls["check"] < self.PROBE_BOUND, calls
+        assert calls["register"] == 600
+        assert calls["params"] == params_built, calls
+        assert calls["probe"] < self.PROBE_BOUND, calls
+        assert calls["boundary_cubic"] < self.BOUNDARY_CUBIC_BOUND, calls
 
     def test_reference_scenario(self, calls):
         scenario = load_scenario(REFERENCE_SCENARIO)
         for policy in Policy:
             _, plans = schedule(dataclasses.replace(scenario, policy=policy))
             assert len(plans) == len(scenario.arrivals)
-        assert calls["check"] <= self.REFERENCE_PROBE_BOUND, calls
+        assert calls["register"] == 2 * len(scenario.arrivals)
+        assert calls["probe"] <= self.REFERENCE_PROBE_BOUND, calls
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_overload_refusal(self, calls, policy):
@@ -829,7 +864,8 @@ class TestProbeCount:
         )
         with pytest.raises(SimulationError, match="veh30"):
             schedule(scenario)
-        assert calls["check"] <= self.REFUSAL_PROBE_BOUND, calls
+        assert calls["register"] == 29
+        assert calls["probe"] <= self.REFUSAL_PROBE_BOUND, calls
 
 
 @st.composite
@@ -935,6 +971,112 @@ class TestLiveOccupancies:
                     for occ in protocol.conflicting_occupancies(movement)
                     if not earliest > occ.t_out + SAFETY_SLACK
                 ]
+
+
+@st.composite
+def bounds_and_speeds(draw):
+    """Vehicle bounds, some within a few planning margins of degenerate, and
+    an arrival speed inside them."""
+    near_zero = st.floats(1e-9, 4e-6)
+    u_min = -draw(st.one_of(near_zero, st.floats(0.1, 5.0)))
+    u_max = draw(st.one_of(near_zero, st.floats(0.1, 5.0)))
+    v_min = draw(st.floats(0.5, 5.0))
+    v_max = v_min + draw(st.one_of(near_zero, st.floats(0.1, 20.0)))
+    params = VehicleParams(u_min=u_min, u_max=u_max, v_min=v_min, v_max=v_max)
+    return params, draw(st.floats(v_min, v_max))
+
+
+class TestPlanningBounds:
+    """A request's planning bounds (`caps`) are today's tightened
+    `VehicleParams`, bit for bit, and an arrival or request whose bounds the
+    margin leaves degenerate is rejected with ValueError where the tightened
+    `VehicleParams` could not be built."""
+
+    @settings(max_examples=300)
+    @given(bounds=bounds_and_speeds())
+    def test_matches_tightened_params(self, bounds):
+        params, v0 = bounds
+        try:
+            reference = oracles.tightened_params_reference(params, v0)
+        except ValueError:
+            with pytest.raises(ValueError, match="planning margin"):
+                request(v0=v0, params=params)
+            with pytest.raises(ValueError, match="planning margin"):
+                Arrival("x", 0.0, WE, v0, params)
+            return
+        caps = request(v0=v0, params=params).caps
+        expected = (reference.u_min, reference.u_max, reference.v_min, reference.v_max)
+        assert repr(tuple(caps)) == repr(expected)
+        Arrival("x", 0.0, WE, v0, params)
+
+    @pytest.mark.parametrize(
+        "params, v0",
+        [
+            (VehicleParams(u_max=5.0e-7), 10.0),
+            (VehicleParams(u_min=-5.0e-7), 10.0),
+            (VehicleParams(v_min=2.0, v_max=2.0000015), 2.000001),
+        ],
+        ids=["accel-max", "accel-min", "speed-band"],
+    )
+    def test_degenerate_bounds_rejected(self, params, v0):
+        with pytest.raises(ValueError, match="planning margin"):
+            request(v0=v0, params=params)
+        with pytest.raises(ValueError, match="planning margin"):
+            Arrival("x", 0.0, WE, v0, params)
+
+    def test_arrival_speed_is_exempt(self):
+        # The band is too narrow for the margin around 2.000001 m/s, but not
+        # at its upper limit, which the bounds keep.
+        req = request(v0=2.0000015, params=VehicleParams(v_min=2.0, v_max=2.0000015))
+        assert req.caps.v_min == 2.0 + 1e-6
+        assert req.caps.v_max == 2.0000015
+
+
+class TestRegisteredOccupancy:
+    """`schedule` registers each plan with the zone times its accepted
+    probe computed; they equal what inverting the trajectory gives."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_vehicles=st.integers(1, 30),
+        mean_gap=st.floats(1.5, 4.0),
+        lanes=st.integers(1, 3),
+        policy=st.sampled_from(list(Policy)),
+        lateral_buffer=st.floats(0.0, 1.0),
+    )
+    def test_equal_to_inverted_zone_times(
+        self, seed, n_vehicles, mean_gap, lanes, policy, lateral_buffer
+    ):
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=n_vehicles,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            policy=policy,
+            mean_gap=mean_gap,
+            lateral_buffer=lateral_buffer,
+        )
+        try:
+            protocol, plans = schedule(scenario)
+        except SimulationError as exc:
+            # Keep the arrivals before the first refusal.
+            ids = [a.vehicle_id for a in scenario.arrivals]
+            assume(ids.index(exc.vehicle_id) > 0)
+            kept = scenario.arrivals[: ids.index(exc.vehicle_id)]
+            protocol, plans = schedule(dataclasses.replace(scenario, arrivals=kept))
+        for entry in protocol:
+            window = scenario.layout.merging_window(entry.movement)
+            traj = entry.trajectory
+            expected = repr(Occupancy(traj.invert(window.entry), traj.invert(window.exit)))
+            assert repr(protocol.merging_occupancy(entry)) == expected
+            assert repr(plans[entry.vehicle_id].occupancy) == expected
+
+    def test_not_part_of_equality_or_repr(self, layout):
+        result = plan(request(), CrossingProtocol(layout), layout)
+        assert result.occupancy is not None
+        bare = dataclasses.replace(result, occupancy=None)
+        assert bare == result
+        assert repr(bare) == repr(result)
 
 
 class TestOptionValidation:
