@@ -299,15 +299,11 @@ def _tightened_params(params: VehicleParams, v0: float) -> _Caps:
     limit would otherwise be unplannable, since no exit time changes v(t0).
     Raises ValueError where the margin leaves bounds `VehicleParams` rejects.
     """
-    caps = _Caps(
-        u_min=params.u_min + BOUND_MARGIN,
-        u_max=params.u_max - BOUND_MARGIN,
-        v_min=min(params.v_min + BOUND_MARGIN, v0),
-        v_max=max(params.v_max - BOUND_MARGIN, v0),
-    )
-    if not (caps.u_min < 0 < caps.u_max and 0 < caps.v_min < caps.v_max):
+    u_min, u_max = params.u_min + BOUND_MARGIN, params.u_max - BOUND_MARGIN
+    v_min, v_max = min(params.v_min + BOUND_MARGIN, v0), max(params.v_max - BOUND_MARGIN, v0)
+    if not (u_min < 0 < u_max and 0 < v_min < v_max):
         raise ValueError(f"bounds too tight for the planning margin {BOUND_MARGIN} at speed {v0}")
-    return caps
+    return _Caps(u_min, u_max, v_min, v_max)
 
 
 def _bounds_lower_bracket(v0: float, s_total: float, caps: _Caps) -> float:

@@ -8,9 +8,9 @@ Reads are assumed instantaneous and exact.
 
 Registration files each entry's merging-zone occupancy (the planner's, which
 the run loop hands over, or computed once) under the entry's movement, and
-files the entry under its lane.  Each file
-keeps a running maximum of its occupancies' zone exit times or its entries'
-end times, so a query can bisect past the prefix that has ended.
+files the entry under its lane.  Each file keeps a running maximum of its
+occupancies' zone exit times or its entries' end times, so a query can
+bisect past the prefix that has ended.
 Conflicting movements are looked up once per protocol, and the latest zone
 entry time is kept as a running maximum for the first-in-first-out bound.
 """
