@@ -28,24 +28,24 @@ Each probe does only the work that can change its verdict, in plain
 floats: the trajectory module's float kernels give it the bits, and the
 exceptions, of building and evaluating a `CubicTrajectory`; only the
 returned plan is built as one.  A plan computes each quantity once: the
-route is the layout's, the tightened bounds are the request's (`caps`), the
-first probe reuses the bounds edge's cubic, and registration takes the
-accepted probe's zone times (`PlanResult.occupancy`).  The lateral check
-sees only the conflicting occupancies that the vehicle can still meet:
-every plan enters the zone at or after its arrival time, so an occupancy
-that ends (plus buffer and slack) before the arrival is separated from
-every candidate, and a running maximum of exit times lets the search bisect
-past those.  The occupancies stay sorted by entry time, so the first one
-that rejects a candidate, and with it the jump target, is the same as over
-the full set, and the scan stops at the first occupancy that starts after
-the candidate has left the zone.  These skips are exact for finite times,
-so the entry points reject what a `Scenario` rejects.
+route is the layout's, the tightened bounds are the request's (`caps`, an
+`Arrival`'s in a run), the lane leader's coefficients are filed at its
+registration, the first probe reuses the bounds edge's cubic, and
+registration takes the accepted probe's zone times (`PlanResult.occupancy`).
+The lateral check sees only the conflicting occupancies that the vehicle
+can still meet: every plan enters the zone at or after its arrival time, so
+an occupancy that ends (plus buffer and slack) before the arrival is
+separated from every candidate, and a running maximum of exit times lets
+the search pass over those.  The occupancies stay sorted by entry time, so
+the first one that rejects a candidate, and with it the jump target, is the
+same as over the full set, and the scan stops at the first occupancy that
+starts after the candidate has left the zone.  These skips are exact for
+finite times, so the entry points reject what a `Scenario` rejects.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -131,12 +131,17 @@ class PlanRequest:
     def __post_init__(self) -> None:
         if not math.isfinite(self.t0):
             raise ValueError(f"arrival time {self.t0} must be finite")
-        if not self.params.v_min <= self.v0 <= self.params.v_max:
-            raise ValueError(
-                f"arrival speed {self.v0} outside "
-                f"[{self.params.v_min}, {self.params.v_max}]"
-            )
         object.__setattr__(self, "caps", _tightened_params(self.params, self.v0))
+
+    @classmethod
+    def _of_arrival(cls, arrival) -> PlanRequest:
+        """An `Arrival`'s request, with its `caps`: nothing is validated again."""
+        request = cls.__new__(cls)
+        request.__dict__.update(
+            vehicle_id=arrival.vehicle_id, movement=arrival.movement, t0=arrival.time,
+            v0=arrival.v0, params=arrival.params, caps=arrival.caps,
+        )
+        return request
 
 
 @dataclass(frozen=True)
@@ -297,8 +302,11 @@ def _tightened_params(params: VehicleParams, v0: float) -> _Caps:
 
     The given arrival speed is exempt: a vehicle arriving exactly at a speed
     limit would otherwise be unplannable, since no exit time changes v(t0).
-    Raises ValueError where the margin leaves bounds `VehicleParams` rejects.
+    Raises ValueError for an arrival speed outside the bounds, and where the
+    margin leaves bounds `VehicleParams` rejects.
     """
+    if not params.v_min <= v0 <= params.v_max:
+        raise ValueError(f"arrival speed {v0} outside [{params.v_min}, {params.v_max}]")
     u_min, u_max = params.u_min + BOUND_MARGIN, params.u_max - BOUND_MARGIN
     v_min, v_max = min(params.v_min + BOUND_MARGIN, v0), max(params.v_max - BOUND_MARGIN, v0)
     if not (u_min < 0 < u_max and 0 < v_min < v_max):
@@ -397,30 +405,24 @@ def _make_context(
     min_zone_entry: Optional[float],
 ) -> _SearchContext:
     route = layout.route(request.movement)
-    lead = protocol.predecessor_on_lane(lane, request.movement.origin, request.t0)
-    leader = None if lead is None else (
-        lead.trajectory.absolute_coefficients(), lead.t0, lead.tf
-    )
+    lead = protocol.lane_leader(lane, request.t0)
     # Every candidate enters the zone at t_in >= t0, so an occupancy dropped
     # here passes the check's `t_in - buffer > t_out + slack` for all of them.
-    # Per conflicting movement, the occupancies before the first whose running
-    # maximum exit time (plus slack) reaches `earliest` are all dropped.
+    # Per conflicting movement, the walk back from the newest occupancy stops
+    # where the running maximum exit time (plus slack) falls short of `earliest`.
     earliest = request.t0 - lateral_buffer
     conflicting: list[Occupancy] = []
-    for filed in protocol.conflicting_filed(request.movement):
-        start = bisect_left(filed.latest, earliest, key=lambda t_out: t_out + SAFETY_SLACK)
-        conflicting += [o for o in filed.items[start:] if not earliest > o.t_out + SAFETY_SLACK]
-    conflicting.sort()
+    for items, latest in protocol.conflicting_filed(request.movement):
+        i = len(items)
+        while i and not earliest > latest[i - 1] + SAFETY_SLACK:
+            i -= 1
+            if not earliest > items[i].t_out + SAFETY_SLACK:
+                conflicting.append(items[i])
+    if len(conflicting) > 1:
+        conflicting.sort()
     return _SearchContext(
-        request=request,
-        s_total=route.total_distance,
-        window_entry=route.window.entry,
-        window_exit=route.window.exit,
-        caps=request.caps,
-        leader=leader,
-        conflicting=conflicting,
-        lateral_buffer=lateral_buffer,
-        min_zone_entry=min_zone_entry,
+        request, route.total_distance, route.window.entry, route.window.exit, request.caps,
+        None if lead is None else lead[1], conflicting, lateral_buffer, min_zone_entry,
     )
 
 
@@ -461,20 +463,18 @@ def _search_min_tf(ctx: _SearchContext, horizon_cap: float) -> tuple[
         ok, fail, detail, occupancy = ctx.probe(tf, cubic)
         cubic = None
         if ok:
-            if last_bad is None:
-                traj = solve_boundary(v0, s_total, t0, tf)
-                return tf, traj, BindingConstraint.BOUNDS, occupancy
-            lo, hi = last_bad, tf
-            fail_at_lo = last_fail
-            while hi - lo > 1e-9:
-                mid = 0.5 * (lo + hi)
-                ok_mid, fail_mid, _, occupancy_mid = ctx.probe(mid)
-                if ok_mid:
-                    hi, occupancy = mid, occupancy_mid
-                else:
-                    lo, fail_at_lo = mid, fail_mid
-            traj = solve_boundary(v0, s_total, t0, hi)
-            return hi, traj, _FAIL_TO_BINDING[fail_at_lo], occupancy
+            binding = BindingConstraint.BOUNDS
+            if last_bad is not None:
+                lo, hi, fail_at_lo = last_bad, tf, last_fail
+                while hi - lo > 1e-9:
+                    mid = 0.5 * (lo + hi)
+                    ok_mid, fail_mid, _, occupancy_mid = ctx.probe(mid)
+                    if ok_mid:
+                        hi, occupancy = mid, occupancy_mid
+                    else:
+                        lo, fail_at_lo = mid, fail_mid
+                tf, binding = hi, _FAIL_TO_BINDING[fail_at_lo]
+            return tf, solve_boundary(v0, s_total, t0, tf), binding, occupancy
         last_bad, last_fail = tf, fail
         nxt = tf + DEFAULT_RESOLUTION
         if fail is _Fail.REAR_END:
@@ -587,18 +587,16 @@ def plan(
     lanes break toward the lowest lane index.
     """
     _check_options(lateral_buffer, horizon_cap)
-    min_zone_entry: Optional[float] = None
-    if Policy(policy) is Policy.FIFO:
-        min_zone_entry = protocol.latest_zone_entry
-    searches = []
+    min_zone_entry = protocol.latest_zone_entry if Policy(policy) is Policy.FIFO else None
+    outcomes, best = [], None
     for lane in layout.allowed_lanes(request.movement):
         ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
-        searches.append((lane, *_search_min_tf(ctx, horizon_cap)))
-    outcomes = tuple(LaneOutcome(lane, tf, binding) for lane, tf, _, binding, _ in searches)
-    feasible = [search for search in searches if search[1] is not None]
-    if not feasible:
-        raise PlanningError(
-            request.vehicle_id, {o.lane: o.binding_constraint for o in outcomes}
-        )
-    lane, tf, traj, binding, occupancy = min(feasible, key=lambda search: (search[1], search[0]))
-    return PlanResult(lane, tf, traj, binding, outcomes, occupancy)
+        tf, traj, binding, occupancy = _search_min_tf(ctx, horizon_cap)
+        outcomes.append(LaneOutcome(lane, tf, binding))
+        # Lanes ascend, so of equal exit times the first is the lowest lane's.
+        if tf is not None and (best is None or tf < best[1]):
+            best = lane, tf, traj, binding, occupancy
+    if best is None:
+        raise PlanningError(request.vehicle_id, {o.lane: o.binding_constraint for o in outcomes})
+    lane, tf, traj, binding, occupancy = best
+    return PlanResult(lane, tf, traj, binding, tuple(outcomes), occupancy)

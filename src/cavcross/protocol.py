@@ -8,9 +8,9 @@ Reads are assumed instantaneous and exact.
 
 Registration files each entry's merging-zone occupancy (the planner's, which
 the run loop hands over, or computed once) under the entry's movement, and
-files the entry under its lane.  Each file keeps a running maximum of its
-occupancies' zone exit times or its entries' end times, so a query can
-bisect past the prefix that has ended.
+files under its lane what a follower's plan reads of it.  Each file keeps a
+running maximum of its occupancies' zone exit times or its entries' end
+times, so a query can pass over the prefix that has ended.
 Conflicting movements are looked up once per protocol, and the latest zone
 entry time is kept as a running maximum for the first-in-first-out bound.
 """
@@ -74,7 +74,7 @@ class CrossingProtocol:
         self._entries: list[ProtocolEntry] = []
         self._by_id: dict[str, ProtocolEntry] = {}
         self._occupancy: dict[str, Occupancy] = {}
-        self._by_lane: dict[LaneId, Filed] = {}  # entries, keyed on tf
+        self._by_lane: dict[LaneId, Filed] = {}  # see `lane_leader`, keyed on tf
         # Occupancies, keyed on t_out, and the occupancies each movement meets.
         self._by_movement = {m: Filed([], []) for m in ALL_MOVEMENTS}
         self._conflicting = {
@@ -117,7 +117,10 @@ class CrossingProtocol:
         self._entries.append(entry)
         self._by_id[entry.vehicle_id] = entry
         self._occupancy[entry.vehicle_id] = occupancy
-        self._by_lane.setdefault(entry.lane, Filed([], [])).add(entry, entry.tf)
+        traj = entry.trajectory
+        leader = traj.absolute_coefficients(), traj.t0, traj.tf
+        position = traj.c3, traj.c2, traj.c1, traj.c0
+        self._by_lane.setdefault(entry.lane, Filed([], [])).add((entry, leader, position), traj.tf)
         self._by_movement[entry.movement].add(occupancy, occupancy.t_out)
         if self._latest_zone_entry is None or occupancy.t_in > self._latest_zone_entry:
             self._latest_zone_entry = occupancy.t_in
@@ -134,25 +137,29 @@ class CrossingProtocol:
     def predecessor_on_lane(
         self, lane: LaneId, approach: Cardinal, t: float
     ) -> Optional[ProtocolEntry]:
-        """Nearest active vehicle ahead on the given approach lane at time t;
-        entries whose running maximum end time is below `t` are skipped."""
+        """Nearest active vehicle ahead on the given approach lane at time t."""
         if self.layout.lane_approach(lane) != approach:
             raise ValueError(f"lane {lane} does not belong to approach {approach.value}")
+        lead = self.lane_leader(lane, t)
+        return None if lead is None else lead[0]
+
+    def lane_leader(self, lane: LaneId, t: float) -> Optional[tuple]:
+        """The filed (entry, leader, position) of the active entry at time t
+        nearest the lane's start (all come from the lane's approach): `leader`
+        is its cubic's absolute-time coefficients, t0 and tf, `position` its
+        c3..c0.  Entries whose running maximum end time is below t are skipped."""
         filed = self._by_lane.get(lane)
-        if filed is None:
+        if filed is None or filed.latest[-1] < t:
             return None
-        best: Optional[ProtocolEntry] = None
-        best_pos = float("inf")
-        for entry in filed.items[bisect_left(filed.latest, t):]:
-            if entry.movement.origin != approach:
-                continue
-            if not entry.t0 <= t <= entry.tf:
-                continue
-            if entry.lane != lane:
-                continue
-            pos = entry.trajectory.eval(t).position
-            if pos < best_pos:
-                best, best_pos = entry, pos
+        best, best_pos = None, float("inf")
+        for lead in filed.items[bisect_left(filed.latest, t):]:
+            _, (_, t0, tf), (c3, c2, c1, c0) = lead
+            if t0 <= t <= tf:
+                # `CubicTrajectory.eval`'s position; t - t0 needs no clamping here.
+                tau = t - t0
+                pos = ((c3 * tau + c2) * tau + c1) * tau + c0
+                if pos < best_pos:
+                    best, best_pos = lead, pos
         return best
 
     def merging_occupancy(self, entry: ProtocolEntry) -> Occupancy:

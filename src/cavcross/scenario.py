@@ -254,6 +254,8 @@ def parse_scenario_dict(doc: Any) -> Scenario:
         raise ScenarioError("arrivals", str(exc)) from None
 
 
+# Deepest nesting read (a valid scenario has 4 levels); PyYAML's pure scanner is quadratic in it.
+_MAX_DEPTH = 32
 _STR_TAG = "tag:yaml.org,2002:str"
 _PLAIN_TAGS = {_STR_TAG} | {f"tag:yaml.org,2002:{t}" for t in ("int", "float", "bool", "null")}
 
@@ -270,8 +272,8 @@ def _read_document(data: bytes) -> Any:
     """`yaml.load(data, Loader=_LOADER)` built from the parser's events.
 
     Takes one document of untagged maps, lists and str/int/float/bool/null
-    scalars without anchors, and raises `_NotPlain` on anything else.  An
-    explicit stack holds the open collections, so depth costs no recursion.
+    scalars without anchors, nested at most `_MAX_DEPTH` deep (else a
+    `ScenarioError`), and raises `_NotPlain` on anything else.
     """
     loader = _LOADER(data)
     try:
@@ -311,6 +313,9 @@ def _read_document(data: bytes) -> Any:
                 stack[-1].append(value)
             elif type(stack[-1]) is _Pairs and not len(stack[-1]) % 2:
                 raise _NotPlain  # a collection as a mapping key
+            elif len(stack) > _MAX_DEPTH:
+                where = f"line {event.start_mark.line + 1}"
+                raise ScenarioError(where, f"nesting deeper than {_MAX_DEPTH} levels")
             else:
                 stack.append(_Pairs() if kind is MappingStartEvent else [])
         if type(get_event()) is not StreamEndEvent:

@@ -28,6 +28,7 @@ from .planner import (
     PlanResult,
     PlanningError,
     Policy,
+    _Caps,
     _check_options,
     _tightened_params,
     lateral_separation,
@@ -51,6 +52,7 @@ class Arrival:
     movement: Movement
     v0: float
     params: VehicleParams
+    caps: _Caps = field(init=False, repr=False, compare=False)  # planning bounds, as a request's
 
     def __post_init__(self) -> None:
         # The scenario parser reports these as errors of the arrival.
@@ -60,12 +62,7 @@ class Arrival:
             raise ValueError(f"movement must be a Movement, got {self.movement!r}")
         if not isinstance(self.params, VehicleParams):
             raise ValueError(f"params must be VehicleParams, got {self.params!r}")
-        if not self.params.v_min <= self.v0 <= self.params.v_max:
-            raise ValueError(
-                f"arrival speed {self.v0} outside "
-                f"[{self.params.v_min}, {self.params.v_max}]"
-            )
-        _tightened_params(self.params, self.v0)
+        self.__dict__["caps"] = _tightened_params(self.params, self.v0)
 
 
 @dataclass(frozen=True)
@@ -486,16 +483,9 @@ def schedule(
     protocol = CrossingProtocol(scenario.layout)
     plans: dict[str, PlanResult] = {}
     for arrival in scenario.arrivals:
-        request = PlanRequest(
-            vehicle_id=arrival.vehicle_id,
-            movement=arrival.movement,
-            t0=arrival.time,
-            v0=arrival.v0,
-            params=arrival.params,
-        )
         try:
             result = plan(
-                request,
+                PlanRequest._of_arrival(arrival),
                 protocol,
                 scenario.layout,
                 policy=scenario.policy,

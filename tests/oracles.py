@@ -10,11 +10,13 @@ per probe and evaluates it with verbatim copies of the original methods),
 its skips over the 1 ms grid by its previous search, which probes every
 grid point, the protocol's indexed predecessor query by a scan of every
 entry, and the run's sampled log and violations by the original per-step
-object loop, the RK4 cross-check by its original scalar step loop, and
+object loop, the RK4 cross-check by its original scalar step loop,
 the streamed CSV artifacts by the original whole-run writer, which formats
 every cell at once and pivots each plot through a times x vehicles grid,
-and a layout's route records and a request's planning bounds by the
-methods that computed them on every call.
+a layout's route records and a request's planning bounds by the methods
+that computed them on every call, and a search context's lane leader and
+live conflicting occupancies by the gather each plan made before
+registration filed them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +32,7 @@ import numpy as np
 
 from cavcross import (
     BindingConstraint,
+    Cardinal,
     CrossingProtocol,
     CubicTrajectory,
     IntersectionLayout,
@@ -65,6 +69,7 @@ from cavcross.planner import (
     _shift_cubic,
     _within_caps,
 )
+from cavcross.protocol import Filed
 from cavcross.simulation import IntegrationCheck, RunResult, Samples
 from cavcross.trajectory import (
     _INVERT_TOL,
@@ -296,6 +301,92 @@ def tightened_params_reference(params: VehicleParams, v0: float) -> VehicleParam
         headway=params.headway,
         standstill_gap=params.standstill_gap,
         reaction_gain=params.reaction_gain,
+    )
+
+
+# ---------------------------------------------------------------------------
+# What each search context gathered anew before registration filed what a
+# follower reads of a lane entry: verbatim copies of the planner's
+# `_make_context` and of `CrossingProtocol.predecessor_on_lane`, which
+# evaluated each active lane entry's trajectory, over the lane files that
+# registration kept then (the entries, keyed on their end times).
+# ---------------------------------------------------------------------------
+
+class _EntryLaneFiles:
+    """A protocol's layout and its entries filed by lane, keyed on tf, in
+    registration order: the state `predecessor_on_lane` read."""
+
+    def __init__(self, protocol: CrossingProtocol):
+        self.layout = protocol.layout
+        self._by_lane: dict[LaneId, Filed] = {}
+        for entry in protocol:
+            self._by_lane.setdefault(entry.lane, Filed([], [])).add(entry, entry.tf)
+
+
+def predecessor_on_lane_reference(
+    protocol: CrossingProtocol, lane: LaneId, approach: Cardinal, t: float
+) -> Optional[ProtocolEntry]:
+    return _predecessor_on_lane(_EntryLaneFiles(protocol), lane, approach, t)
+
+
+def _predecessor_on_lane(
+    self, lane: LaneId, approach: Cardinal, t: float
+) -> Optional[ProtocolEntry]:
+    """Nearest active vehicle ahead on the given approach lane at time t;
+    entries whose running maximum end time is below `t` are skipped."""
+    if self.layout.lane_approach(lane) != approach:
+        raise ValueError(f"lane {lane} does not belong to approach {approach.value}")
+    filed = self._by_lane.get(lane)
+    if filed is None:
+        return None
+    best: Optional[ProtocolEntry] = None
+    best_pos = float("inf")
+    for entry in filed.items[bisect_left(filed.latest, t):]:
+        if entry.movement.origin != approach:
+            continue
+        if not entry.t0 <= t <= entry.tf:
+            continue
+        if entry.lane != lane:
+            continue
+        pos = entry.trajectory.eval(t).position
+        if pos < best_pos:
+            best, best_pos = entry, pos
+    return best
+
+
+def make_context_reference(
+    request: PlanRequest,
+    lane: LaneId,
+    protocol: CrossingProtocol,
+    layout: IntersectionLayout,
+    lateral_buffer: float,
+    min_zone_entry: Optional[float],
+) -> planner._SearchContext:
+    route = layout.route(request.movement)
+    lead = predecessor_on_lane_reference(protocol, lane, request.movement.origin, request.t0)
+    leader = None if lead is None else (
+        lead.trajectory.absolute_coefficients(), lead.t0, lead.tf
+    )
+    # Every candidate enters the zone at t_in >= t0, so an occupancy dropped
+    # here passes the check's `t_in - buffer > t_out + slack` for all of them.
+    # Per conflicting movement, the occupancies before the first whose running
+    # maximum exit time (plus slack) reaches `earliest` are all dropped.
+    earliest = request.t0 - lateral_buffer
+    conflicting: list[Occupancy] = []
+    for filed in protocol.conflicting_filed(request.movement):
+        start = bisect_left(filed.latest, earliest, key=lambda t_out: t_out + SAFETY_SLACK)
+        conflicting += [o for o in filed.items[start:] if not earliest > o.t_out + SAFETY_SLACK]
+    conflicting.sort()
+    return planner._SearchContext(
+        request=request,
+        s_total=route.total_distance,
+        window_entry=route.window.entry,
+        window_exit=route.window.exit,
+        caps=request.caps,
+        leader=leader,
+        conflicting=conflicting,
+        lateral_buffer=lateral_buffer,
+        min_zone_entry=min_zone_entry,
     )
 
 

@@ -1,0 +1,53 @@
+"""The summary that `tools/bench_pairs.py` writes into the BENCH_*.json records."""
+
+import sys
+
+import pytest
+
+from conftest import REPO_ROOT
+
+sys.path.append(str(REPO_ROOT / "tools"))
+import bench_pairs  # noqa: E402
+
+
+def test_summary_of_synthetic_pairs():
+    parent = [1.0, 1.4, 1.1, 1.3, 1.2]
+    change = [0.9, 1.3, 1.15, 1.0, 1.1]
+    summary = bench_pairs.summarize(parent, change)
+    # Inclusive quartiles of 1.0, 1.1, 1.2, 1.3, 1.4.
+    assert summary["parent"] == {"median": 1.2, "q1": 1.1, "q3": 1.3, "runs": parent}
+    assert summary["change"]["median"] == 1.1
+    assert summary["change"]["q1"] == 1.0 and summary["change"]["q3"] == 1.15
+    # The third pair is lost; the rest are won.
+    assert summary["change_wins"] == "4/5"
+    assert summary["median_difference"] == pytest.approx(-0.1)
+    assert summary["relative_change"] == pytest.approx(-0.1 / 1.2)
+    assert summary["parent_iqr"] == pytest.approx(0.2)
+    # 4/5 is under nine tenths, and the medians differ by less than the IQR.
+    assert summary["clear_gain"] is False
+
+
+def test_clear_gain_needs_nine_tenths_and_a_gap_above_the_parent_iqr():
+    parent = [10.0 + 0.1 * i for i in range(10)]
+    faster = [p - 2.0 for p in parent]
+    assert bench_pairs.summarize(parent, faster)["clear_gain"] is True
+    assert bench_pairs.summarize(parent, faster)["change_wins"] == "10/10"
+    # Ties count for neither side.
+    tied = [*faster[:9], parent[9]]
+    assert bench_pairs.summarize(parent, tied)["change_wins"] == "9/10"
+    assert bench_pairs.summarize(parent, tied)["clear_gain"] is True
+    # A consistent but small gain does not clear the parent's spread.
+    assert bench_pairs.summarize(parent, [p - 0.01 for p in parent])["clear_gain"] is False
+    # Higher is better for some metrics: then a lower change loses.
+    lower = bench_pairs.summarize(parent, faster, better="higher")
+    assert lower["change_wins"] == "0/10" and lower["clear_gain"] is False
+
+
+def test_seed_ranges():
+    assert bench_pairs.parse_seeds("51-55") == [51, 52, 53, 54, 55]
+    assert bench_pairs.parse_seeds("1,4-5,9") == [1, 4, 5, 9]
+
+
+def test_unpaired_runs_rejected():
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([1.0, 2.0], [1.0])

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import textwrap
+import time
 import tracemalloc
 
 import pytest
@@ -207,14 +208,31 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "layout, message",
         [
-            ("\n" + "- " * 20000 + "1", "layout: expected a mapping, got list"),
-            ("{k: " * 3000 + "1" + "}" * 3000, "layout: unknown keys: k"),
+            ("\n" + "- " * 20000 + "1", "line 2: nesting deeper than 32 levels"),
+            ("{k: " * 3000 + "1" + "}" * 3000, "line 1: nesting deeper than 32 levels"),
+            ("[" * 20000 + "]" * 20000, "line 1: nesting deeper than 32 levels"),
         ],
-        ids=["list-20000-deep", "map-3000-deep"],
+        ids=["list-20000-deep", "map-3000-deep", "flow-list-20000-deep"],
     )
     def test_deep_nesting_parse_exit(self, tmp_path, capsys, yaml_loader, layout, message):
-        # The reader keeps its own stack: no depth reaches Python's recursion limit.
+        # The reader stops at a fixed depth, before PyYAML's pure scanner,
+        # whose time grows with the square of the depth, has read far: the
+        # 40 KB flow list took it ~30 s to read whole.
         bad = tmp_path / "deep.yaml"
+        bad.write_text(f"layout: {layout}\n" + MINIMAL[MINIMAL.index("defaults:"):])
+        start = time.perf_counter()
+        assert main(["plan", str(bad), "--vehicle", "a"]) == EXIT_PARSE
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "depth, message",
+        [(32, "layout: expected a mapping, got list"), (33, "line 1: nesting deeper than 32 levels")],
+    )
+    def test_nesting_depth_limit(self, tmp_path, capsys, yaml_loader, depth, message):
+        # The root mapping is the first level, `layout`'s list the second.
+        bad = tmp_path / "deep.yaml"
+        layout = "[" * (depth - 1) + "]" * (depth - 1)
         bad.write_text(f"layout: {layout}\n" + MINIMAL[MINIMAL.index("defaults:"):])
         assert main(["plan", str(bad), "--vehicle", "a"]) == EXIT_PARSE
         assert capsys.readouterr().err == f"scenario error: {message}\n"

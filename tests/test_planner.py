@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -12,6 +13,7 @@ from cavcross import (
     BindingConstraint,
     Cardinal,
     CrossingProtocol,
+    CubicTrajectory,
     IntersectionLayout,
     Movement,
     Occupancy,
@@ -26,13 +28,15 @@ from cavcross import (
     load_scenario,
     min_feasible_tf,
     feasible_tf,
+    parse_scenario_dict,
     plan,
     rear_end_margin,
     rear_end_ok,
+    scenario_to_dict,
     schedule,
     solve_boundary,
 )
-from cavcross import planner, trajectory
+from cavcross import planner, simulation, trajectory
 from cavcross.planner import SAFETY_SLACK, _make_context
 
 import oracles
@@ -767,9 +771,12 @@ class TestProbeCount:
     the reference scenario, and up to an overloaded stream's first refusal.
     The kernel that lands on the entry-time edges inverts no trajectory, and
     registration inverts none either: it takes the accepted probe's zone
-    times.  On the 300-vehicle stream no plan builds a `VehicleParams`, and
-    the boundary cubic is computed once less per plan than when the first
-    probe evaluated the bounds edge again."""
+    times.  A lane leader's absolute-time coefficients are computed only when
+    its entry is registered.  On the 300-vehicle stream no plan builds a
+    `VehicleParams`, evaluates a trajectory or looks up a lane's approach,
+    each arrival's planning bounds are derived once, when the parser builds
+    it, and the boundary cubic is computed once less per plan than when the
+    first probe evaluated the bounds edge again."""
 
     # 1,155 probes when written; 5,289 while the scan probed each 1 ms step
     # through rear-end rejections, 13,366 when each edge was bisected anew.
@@ -788,7 +795,8 @@ class TestProbeCount:
     def calls(self, monkeypatch):
         calls = dict(
             probe=0, kernel=0, register=0, boundary_cubic=0, params=0,
-            invert_in_kernel=0, invert_in_register=0,
+            invert_in_kernel=0, invert_in_register=0, eval=0, lane_approach=0, tightened=0,
+            coefficients_in_register=0, coefficients_elsewhere=0,
         )
         inside = dict(kernel=False, register=False)
         invert = trajectory._invert
@@ -816,6 +824,13 @@ class TestProbeCount:
             calls["invert_in_register"] += inside["register"]
             return invert(*args)
 
+        def watched_coefficients(traj):
+            calls["coefficients_in_register" if inside["register"] else "coefficients_elsewhere"] += 1
+            return coefficients(traj)
+
+        coefficients = CubicTrajectory.absolute_coefficients
+        tightened = counted("tightened", planner._tightened_params)
+
         cubic = counted("boundary_cubic", trajectory._boundary_cubic)
         monkeypatch.setattr(
             planner._SearchContext, "probe", counted("probe", planner._SearchContext.probe)
@@ -833,12 +848,24 @@ class TestProbeCount:
         monkeypatch.setattr(trajectory, "_invert", watched_invert)
         monkeypatch.setattr(planner, "_boundary_cubic", cubic)
         monkeypatch.setattr(trajectory, "_boundary_cubic", cubic)
+        monkeypatch.setattr(CubicTrajectory, "eval", counted("eval", CubicTrajectory.eval))
+        monkeypatch.setattr(CubicTrajectory, "absolute_coefficients", watched_coefficients)
+        monkeypatch.setattr(
+            IntersectionLayout, "lane_approach",
+            counted("lane_approach", IntersectionLayout.lane_approach),
+        )
+        monkeypatch.setattr(planner, "_tightened_params", tightened)
+        monkeypatch.setattr(simulation, "_tightened_params", tightened)
         yield calls
         assert calls["invert_in_kernel"] == 0
         assert calls["invert_in_register"] == 0
+        assert calls["coefficients_elsewhere"] == 0
+        assert calls["coefficients_in_register"] <= calls["register"]
 
     def test_dense_stream(self, calls):
-        scenario = generate_random_scenario(seed=7, n_vehicles=300, mean_gap=3.0)
+        doc = scenario_to_dict(generate_random_scenario(seed=7, n_vehicles=300, mean_gap=3.0))
+        tightened = calls["tightened"]
+        scenario = parse_scenario_dict(doc)
         params_built = calls["params"]
         for policy in Policy:
             _, plans = schedule(dataclasses.replace(scenario, policy=policy))
@@ -846,6 +873,8 @@ class TestProbeCount:
         assert calls["kernel"] > 0
         assert calls["register"] == 600
         assert calls["params"] == params_built, calls
+        assert calls["tightened"] - tightened == 300, calls
+        assert calls["eval"] == calls["lane_approach"] == 0, calls
         assert calls["probe"] < self.PROBE_BOUND, calls
         assert calls["boundary_cubic"] < self.BOUNDARY_CUBIC_BOUND, calls
 
@@ -1032,38 +1061,46 @@ class TestPlanningBounds:
         assert req.caps.v_max == 2.0000015
 
 
+# Streams of 1-30 vehicles on 1-3 lanes per approach, under either policy,
+# with a lateral buffer of 0-1 s (`scheduled_stream` cuts them before a refusal).
+stream_args = dict(
+    seed=st.integers(0, 10_000),
+    n_vehicles=st.integers(1, 30),
+    mean_gap=st.floats(1.5, 4.0),
+    lanes=st.integers(1, 3),
+    policy=st.sampled_from(list(Policy)),
+    lateral_buffer=st.floats(0.0, 1.0),
+)
+
+
+def scheduled_stream(seed, n_vehicles, mean_gap, lanes, policy, lateral_buffer):
+    """A generated stream and `schedule`'s protocol and plans for it, or for
+    the arrivals before its first refusal."""
+    scenario = generate_random_scenario(
+        seed=seed,
+        n_vehicles=n_vehicles,
+        layout=IntersectionLayout(lanes_per_approach=lanes),
+        policy=policy,
+        mean_gap=mean_gap,
+        lateral_buffer=lateral_buffer,
+    )
+    try:
+        return (scenario, *schedule(scenario))
+    except SimulationError as exc:
+        ids = [a.vehicle_id for a in scenario.arrivals]
+        assume(ids.index(exc.vehicle_id) > 0)
+        scenario = dataclasses.replace(scenario, arrivals=scenario.arrivals[: ids.index(exc.vehicle_id)])
+        return (scenario, *schedule(scenario))
+
+
 class TestRegisteredOccupancy:
     """`schedule` registers each plan with the zone times its accepted
     probe computed; they equal what inverting the trajectory gives."""
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        n_vehicles=st.integers(1, 30),
-        mean_gap=st.floats(1.5, 4.0),
-        lanes=st.integers(1, 3),
-        policy=st.sampled_from(list(Policy)),
-        lateral_buffer=st.floats(0.0, 1.0),
-    )
-    def test_equal_to_inverted_zone_times(
-        self, seed, n_vehicles, mean_gap, lanes, policy, lateral_buffer
-    ):
-        scenario = generate_random_scenario(
-            seed=seed,
-            n_vehicles=n_vehicles,
-            layout=IntersectionLayout(lanes_per_approach=lanes),
-            policy=policy,
-            mean_gap=mean_gap,
-            lateral_buffer=lateral_buffer,
-        )
-        try:
-            protocol, plans = schedule(scenario)
-        except SimulationError as exc:
-            # Keep the arrivals before the first refusal.
-            ids = [a.vehicle_id for a in scenario.arrivals]
-            assume(ids.index(exc.vehicle_id) > 0)
-            kept = scenario.arrivals[: ids.index(exc.vehicle_id)]
-            protocol, plans = schedule(dataclasses.replace(scenario, arrivals=kept))
+    @given(**stream_args)
+    def test_equal_to_inverted_zone_times(self, **stream):
+        scenario, protocol, plans = scheduled_stream(**stream)
         for entry in protocol:
             window = scenario.layout.merging_window(entry.movement)
             traj = entry.trajectory
@@ -1077,6 +1114,56 @@ class TestRegisteredOccupancy:
         bare = dataclasses.replace(result, occupancy=None)
         assert bare == result
         assert repr(bare) == repr(result)
+
+
+class TestContextMatchesRecord:
+    """Each search context's lane leader and live conflicting occupancies,
+    read from what registration filed, equal by `repr` those of the gather
+    each plan made before (`oracles.make_context_reference`), and
+    `predecessor_on_lane` finds the same entry: as `schedule` plans a drawn
+    stream, and on public calls out of time order, whose arrival precedes
+    entries already registered (a `Scenario` orders its arrivals; the API
+    does not)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        **stream_args,
+        late=st.lists(
+            st.tuples(st.sampled_from(ALL_MOVEMENTS), st.floats(0.0, 1.0), st.floats(2.0, 18.0)),
+            max_size=4,
+        ),
+    )
+    def test_drawn_streams(self, late, **stream):
+        contexts = []
+        make = planner._make_context
+
+        def compared(request, lane, protocol, *rest):
+            ctx = make(request, lane, protocol, *rest)
+            reference = oracles.make_context_reference(request, lane, protocol, *rest)
+            assert repr(ctx.leader) == repr(reference.leader)
+            assert repr(ctx.conflicting) == repr(reference.conflicting)
+            found = protocol.predecessor_on_lane(lane, request.movement.origin, request.t0)
+            assert found is oracles.predecessor_on_lane_reference(
+                protocol, lane, request.movement.origin, request.t0
+            )
+            contexts.append(ctx)
+            return ctx
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(planner, "_make_context", compared)
+            scenario, protocol, plans = scheduled_stream(**stream)
+            assert len(contexts) >= len(plans)
+            layout, buffer = scenario.layout, scenario.lateral_buffer
+            last = scenario.arrivals[-1].time
+            for i, (movement, share, v0) in enumerate(late):
+                req = PlanRequest(f"late{i}", movement, share * last, v0, VehicleParams())
+                with contextlib.suppress(PlanningError):
+                    plan(req, protocol, layout, policy=scenario.policy, lateral_buffer=buffer)
+                for lane in layout.allowed_lanes(movement):
+                    min_feasible_tf(
+                        req, lane, protocol, layout, lateral_buffer=buffer,
+                        min_zone_entry=protocol.latest_zone_entry,
+                    )
 
 
 class TestOptionValidation:
