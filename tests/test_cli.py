@@ -227,7 +227,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "depth, message",
-        [(32, "layout: expected a mapping, got list"), (33, "line 1: nesting deeper than 32 levels")],
+        [
+            (32, "layout: expected a mapping, got list"),
+            (33, "line 1: nesting deeper than 32 levels"),
+        ],
     )
     def test_nesting_depth_limit(self, tmp_path, capsys, yaml_loader, depth, message):
         # The root mapping is the first level, `layout`'s list the second.

@@ -825,7 +825,8 @@ class TestProbeCount:
             return invert(*args)
 
         def watched_coefficients(traj):
-            calls["coefficients_in_register" if inside["register"] else "coefficients_elsewhere"] += 1
+            where = "in_register" if inside["register"] else "elsewhere"
+            calls[f"coefficients_{where}"] += 1
             return coefficients(traj)
 
         coefficients = CubicTrajectory.absolute_coefficients
@@ -1087,9 +1088,9 @@ def scheduled_stream(seed, n_vehicles, mean_gap, lanes, policy, lateral_buffer):
     try:
         return (scenario, *schedule(scenario))
     except SimulationError as exc:
-        ids = [a.vehicle_id for a in scenario.arrivals]
-        assume(ids.index(exc.vehicle_id) > 0)
-        scenario = dataclasses.replace(scenario, arrivals=scenario.arrivals[: ids.index(exc.vehicle_id)])
+        refused = [a.vehicle_id for a in scenario.arrivals].index(exc.vehicle_id)
+        assume(refused > 0)
+        scenario = dataclasses.replace(scenario, arrivals=scenario.arrivals[:refused])
         return (scenario, *schedule(scenario))
 
 

@@ -16,7 +16,8 @@ metric of BENCHMARK.json: each side's runs with their median and quartiles
 count for neither), the median difference and relative change, the parent's
 interquartile range, and whether the change is better in at least nine
 tenths of the pairs by a median difference larger than that range
-(`clear_gain`).  Failed and attempted operations are summed per side.
+(`clear_gain`), every float rounded to 5 decimals.  Failed and attempted
+operations are summed per side.
 """
 
 from __future__ import annotations
@@ -69,8 +70,19 @@ def summarize(parent: list[float], change: list[float], better: str = "lower") -
         "relative_change": difference / p["median"] if p["median"] else None,
         "median_difference": difference,
         "parent_iqr": iqr,
-        "clear_gain": 10 * wins >= 9 * len(parent) and sign * difference < 0 and abs(difference) > iqr,
+        "clear_gain": 10 * wins >= 9 * len(parent) and -sign * difference > iqr,
     }
+
+
+def rounded(value, places: int = 5):
+    """`value` with every float in it rounded to `places` decimals."""
+    if isinstance(value, float):
+        return round(value, places)
+    if isinstance(value, dict):
+        return {k: rounded(v, places) for k, v in value.items()}
+    if isinstance(value, list):
+        return [rounded(v, places) for v in value]
+    return value
 
 
 def checkout(commit: str, into: Path) -> None:
@@ -141,9 +153,9 @@ def main() -> int:
     }
     for workload, sides in results.items():
         summary["workloads"][workload] = {
-            "failed_ops": {side: sum(r["failed"] for r in runs) for side, runs in sides.items()},
-            "attempted_ops": {side: sum(r["attempted"] for r in runs) for side, runs in sides.items()},
-            "correct": {side: all(r["correct"] for r in runs) for side, runs in sides.items()},
+            "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in sides.items()},
+            "attempted_ops": {side: sum(r["attempted"] for r in rs) for side, rs in sides.items()},
+            "correct": {side: all(r["correct"] for r in rs) for side, rs in sides.items()},
             "metrics": {
                 m["name"]: summarize(
                     [r["metrics"][m["name"]]["value"] for r in sides["parent"]],
@@ -153,7 +165,7 @@ def main() -> int:
                 for m in metrics
             },
         }
-    text = json.dumps(summary, indent=1)
+    text = json.dumps(rounded(summary), indent=1)
     if args.out is not None:
         args.out.write_text(text + "\n")
     print(text)
