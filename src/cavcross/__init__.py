@@ -21,16 +21,13 @@ from .geometry import (
 from .planner import (
     BindingConstraint,
     LaneOutcome,
-    PlanRequest,
     PlanResult,
     PlanningError,
     feasible_tf,
-    lateral_ok,
     lateral_separation,
     min_feasible_tf,
     plan,
     rear_end_margin,
-    rear_end_ok,
 )
 from .protocol import (
     CrossingProtocol,
@@ -65,7 +62,6 @@ from .simulation import (
 )
 from .trajectory import (
     CubicTrajectory,
-    FeasibilityReport,
     InvalidHorizonError,
     InverseFit,
     NonMonotoneError,

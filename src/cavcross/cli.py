@@ -28,6 +28,7 @@ from .simulation import (
     Samples,
     SimulationError,
     compare_policies,
+    plan_totals,
     run,
     schedule,
 )
@@ -315,21 +316,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if comparison.optimal is None or comparison.fifo is None:
         return EXIT_PLANNING
 
-    opt = comparison.optimal.metrics
-    fifo = comparison.fifo.metrics
+    opt, fifo = comparison.optimal, comparison.fifo
     print(f"{'vehicle':<12}{'optimal tf':>14}{'fifo tf':>14}{'saving':>12}")
-    for vid in opt.per_vehicle:
-        o = opt.per_vehicle[vid]
-        f = fifo.per_vehicle[vid]
+    for vid, o in opt.items():
+        f = fifo[vid]
         print(f"{vid:<12}{o.tf:>14.3f}{f.tf:>14.3f}{f.tf - o.tf:>12.3f}")
+    opt_totals, fifo_totals = plan_totals(opt), plan_totals(fifo)
     print(
-        f"{'TOTAL':<12}{opt.aggregate.total_travel_time:>14.3f}"
-        f"{fifo.aggregate.total_travel_time:>14.3f}"
-        f"{fifo.aggregate.total_travel_time - opt.aggregate.total_travel_time:>12.3f}"
+        f"{'TOTAL':<12}{opt_totals.total_travel_time:>14.3f}"
+        f"{fifo_totals.total_travel_time:>14.3f}"
+        f"{fifo_totals.total_travel_time - opt_totals.total_travel_time:>12.3f}"
     )
     print(
-        f"throughput veh/min: optimal={opt.aggregate.throughput_per_min:.3f} "
-        f"fifo={fifo.aggregate.throughput_per_min:.3f}"
+        f"throughput veh/min: optimal={opt_totals.throughput_per_min:.3f} "
+        f"fifo={fifo_totals.throughput_per_min:.3f}"
     )
     return EXIT_OK
 
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--vehicle", required=True)
     p_plan.set_defaults(func=_cmd_plan)
 
-    p_cmp = sub.add_parser("compare", help="run optimal and FIFO policies side by side")
+    p_cmp = sub.add_parser("compare", help="plan with optimal and FIFO policies side by side")
     p_cmp.add_argument("scenario")
     p_cmp.set_defaults(func=_cmd_compare)
     return parser

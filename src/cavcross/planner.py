@@ -28,10 +28,10 @@ Each probe does only the work that can change its verdict, in plain
 floats: the trajectory module's float kernels give it the bits, and the
 exceptions, of building and evaluating a `CubicTrajectory`; only the
 returned plan is built as one.  A plan computes each quantity once: the
-route is the layout's, the tightened bounds are the request's (`caps`, an
-`Arrival`'s in a run), the lane leader's coefficients are filed at its
-registration, the first probe reuses the bounds edge's cubic, and
-registration takes the accepted probe's zone times (`PlanResult.occupancy`).
+route is the layout's, the tightened bounds are the `Arrival`'s (`caps`),
+the lane leader's coefficients are filed at its registration, the first
+probe reuses the bounds edge's cubic, and registration takes the accepted
+probe's zone times (`PlanResult.occupancy`).
 The lateral check sees only the conflicting occupancies that the vehicle
 can still meet: every plan enters the zone at or after its arrival time, so
 an occupancy that ends (plus buffer and slack) before the arrival is
@@ -40,7 +40,7 @@ the search pass over those.  The occupancies stay sorted by entry time, so
 the first one that rejects a candidate, and with it the jump target, is the
 same as over the full set, and the scan stops at the first occupancy that
 starts after the candidate has left the zone.  These skips are exact for
-finite times, so the entry points reject what a `Scenario` rejects.
+finite times, the only ones an `Arrival` admits.
 """
 
 from __future__ import annotations
@@ -120,28 +120,27 @@ class _Caps(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PlanRequest:
+class Arrival:
+    """A vehicle reaching the control zone: what the planner plans."""
+
     vehicle_id: str
+    time: float
     movement: Movement
-    t0: float
     v0: float
     params: VehicleParams
-    caps: _Caps = field(init=False, repr=False, compare=False)  # from params and v0, once
+    caps: _Caps = field(init=False, repr=False, compare=False)  # planning bounds, once
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.t0):
-            raise ValueError(f"arrival time {self.t0} must be finite")
-        object.__setattr__(self, "caps", _tightened_params(self.params, self.v0))
-
-    @classmethod
-    def _of_arrival(cls, arrival) -> PlanRequest:
-        """An `Arrival`'s request, with its `caps`: nothing is validated again."""
-        request = cls.__new__(cls)
-        request.__dict__.update(
-            vehicle_id=arrival.vehicle_id, movement=arrival.movement, t0=arrival.time,
-            v0=arrival.v0, params=arrival.params, caps=arrival.caps,
-        )
-        return request
+        # The scenario parser reports these as errors of the arrival.
+        if not isinstance(self.vehicle_id, str) or not self.vehicle_id:
+            raise ValueError(f"vehicle id must be a non-empty string, got {self.vehicle_id!r}")
+        if not isinstance(self.movement, Movement):
+            raise ValueError(f"movement must be a Movement, got {self.movement!r}")
+        if not isinstance(self.params, VehicleParams):
+            raise ValueError(f"params must be VehicleParams, got {self.params!r}")
+        if not math.isfinite(self.time):
+            raise ValueError(f"arrival time of {self.vehicle_id!r} must be finite")
+        self.__dict__["caps"] = _tightened_params(self.params, self.v0)
 
 
 @dataclass(frozen=True)
@@ -260,29 +259,6 @@ def _rear_end_reach(
     return 0.5 * (SAFETY_SLACK - margin) / k
 
 
-def rear_end_ok(
-    candidate: CubicTrajectory, leader: ProtocolEntry, params: VehicleParams
-) -> bool:
-    """Whether the candidate keeps a safe distance behind the leader."""
-    return rear_end_margin(candidate, leader, params) >= 0.0
-
-
-def lateral_ok(
-    candidate_occupancy: tuple[float, float] | Occupancy,
-    other_occupancy: tuple[float, float] | Occupancy,
-    buffer: float = 0.0,
-) -> bool:
-    """Whether two merging-zone occupancy intervals are disjoint.
-
-    The candidate's interval is inflated by `buffer` on both sides before
-    the check, so raising the buffer shrinks the admissible schedule by
-    twice its value per conflicting pair.
-    """
-    c_in, c_out = candidate_occupancy
-    o_in, o_out = other_occupancy
-    return c_out + buffer < o_in or c_in - buffer > o_out
-
-
 def lateral_separation(
     occupancy_a: tuple[float, float] | Occupancy,
     occupancy_b: tuple[float, float] | Occupancy,
@@ -328,8 +304,7 @@ def _bounds_lower_bracket(v0: float, s_total: float, caps: _Caps) -> float:
 
 
 def _within_caps(extrema: tuple[float, ...], caps: _Caps) -> bool:
-    """Whether speed and acceleration extrema stay inside `caps`; for a
-    trajectory's `extrema`, equal to `traj.feasibility(caps).ok`."""
+    """Whether speed and acceleration extrema stay inside `caps`."""
     min_speed, max_speed, min_accel, max_accel = extrema
     return (
         caps.v_min <= min_speed
@@ -343,7 +318,7 @@ def _within_caps(extrema: tuple[float, ...], caps: _Caps) -> bool:
 class _SearchContext:
     """One lane's search: the arrival, what it must avoid, and the probes."""
 
-    request: PlanRequest
+    arrival: Arrival
     s_total: float
     window_entry: float
     window_exit: float
@@ -367,8 +342,8 @@ class _SearchContext:
         entry-order or lateral rejection is the zone-entry time to reach, of
         a rear-end one the margin; the occupancy is an accepted candidate's.
         """
-        req = self.request
-        v0, t0, s_total = req.v0, req.t0, self.s_total
+        arrival = self.arrival
+        v0, t0, s_total = arrival.v0, arrival.time, self.s_total
         if cubic is None:
             c3, c2, T = _boundary_cubic(v0, s_total, t0, tf)
             cubic = c3, c2, _cubic_extrema(c3, c2, v0, T)
@@ -381,7 +356,7 @@ class _SearchContext:
             return False, _Fail.ORDER, self.min_zone_entry, None
         if self.leader is not None:
             coeffs = _absolute_coefficients(c3, c2, v0, 0.0, t0)
-            margin = _rear_end_margin(coeffs, t0, tf, *self.leader, req.params)
+            margin = _rear_end_margin(coeffs, t0, tf, *self.leader, arrival.params)
             if margin < SAFETY_SLACK:
                 return False, _Fail.REAR_END, margin, None
         t_out = _invert(c3, c2, v0, t0, tf, s_total, self.window_exit)
@@ -397,22 +372,22 @@ class _SearchContext:
 
 
 def _make_context(
-    request: PlanRequest,
+    arrival: Arrival,
     lane: LaneId,
     protocol: CrossingProtocol,
     layout: IntersectionLayout,
     lateral_buffer: float,
     min_zone_entry: Optional[float],
 ) -> _SearchContext:
-    route = layout.route(request.movement)
-    lead = protocol.lane_leader(lane, request.t0)
+    route = layout.route(arrival.movement)
+    lead = protocol.lane_leader(lane, arrival.time)
     # Every candidate enters the zone at t_in >= t0, so an occupancy dropped
     # here passes the check's `t_in - buffer > t_out + slack` for all of them.
     # Per conflicting movement, the walk back from the newest occupancy stops
     # where the running maximum exit time (plus slack) falls short of `earliest`.
-    earliest = request.t0 - lateral_buffer
+    earliest = arrival.time - lateral_buffer
     conflicting: list[Occupancy] = []
-    for items, latest in protocol.conflicting_filed(request.movement):
+    for items, latest in protocol.conflicting_filed(arrival.movement):
         i = len(items)
         while i and not earliest > latest[i - 1] + SAFETY_SLACK:
             i -= 1
@@ -421,7 +396,7 @@ def _make_context(
     if len(conflicting) > 1:
         conflicting.sort()
     return _SearchContext(
-        request, route.total_distance, route.window.entry, route.window.exit, request.caps,
+        arrival, route.total_distance, route.window.entry, route.window.exit, arrival.caps,
         None if lead is None else lead[1], conflicting, lateral_buffer, min_zone_entry,
     )
 
@@ -429,8 +404,8 @@ def _make_context(
 def _search_min_tf(ctx: _SearchContext, horizon_cap: float) -> tuple[
     Optional[float], Optional[CubicTrajectory], BindingConstraint, Optional[Occupancy]
 ]:
-    req = ctx.request
-    v0, t0, s_total = req.v0, req.t0, ctx.s_total
+    arrival = ctx.arrival
+    v0, t0, s_total = arrival.v0, arrival.time, ctx.s_total
     t_lb = _bounds_lower_bracket(v0, s_total, ctx.caps)
     # Beyond this horizon the terminal speed drops below the floor for good.
     t_ub = 3.0 * s_total / (v0 + 2.0 * ctx.caps.v_min)
@@ -480,7 +455,7 @@ def _search_min_tf(ctx: _SearchContext, horizon_cap: float) -> tuple[
         if fail is _Fail.REAR_END:
             # The scan's points up to the margin's reach are rejected too:
             # probe only the last of them.
-            reach = tf + _rear_end_reach(v0, s_total, tf - t0, detail, req.params)
+            reach = tf + _rear_end_reach(v0, s_total, tf - t0, detail, arrival.params)
             nxt = last_step_below(tf, reach)
         elif detail is not None and tf < jump_hi:
             # Where the zone entry time grows with tf, land on the horizon
@@ -526,13 +501,13 @@ def _check_options(
         raise ValueError("min_zone_entry must not be NaN")
 
 
-def _check_lane(request: PlanRequest, lane: LaneId, layout: IntersectionLayout) -> None:
-    if lane not in layout.allowed_lanes(request.movement):
-        raise ValueError(f"lane {lane} not admissible for movement {request.movement}")
+def _check_lane(arrival: Arrival, lane: LaneId, layout: IntersectionLayout) -> None:
+    if lane not in layout.allowed_lanes(arrival.movement):
+        raise ValueError(f"lane {lane} not admissible for movement {arrival.movement}")
 
 
 def feasible_tf(
-    request: PlanRequest,
+    arrival: Arrival,
     lane: LaneId,
     tf: float,
     protocol: CrossingProtocol,
@@ -547,15 +522,15 @@ def feasible_tf(
     exactly the predicate the planner optimizes over.
     """
     _check_options(lateral_buffer, min_zone_entry=min_zone_entry)
-    _check_lane(request, lane, layout)
-    if tf <= request.t0:
+    _check_lane(arrival, lane, layout)
+    if tf <= arrival.time:
         return False
-    ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
+    ctx = _make_context(arrival, lane, protocol, layout, lateral_buffer, min_zone_entry)
     return ctx.check(tf)[0]
 
 
 def min_feasible_tf(
-    request: PlanRequest,
+    arrival: Arrival,
     lane: LaneId,
     protocol: CrossingProtocol,
     layout: IntersectionLayout,
@@ -566,13 +541,13 @@ def min_feasible_tf(
 ) -> Optional[float]:
     """Smallest feasible exit time on one lane, or None within the horizon."""
     _check_options(lateral_buffer, horizon_cap, min_zone_entry)
-    _check_lane(request, lane, layout)
-    ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
+    _check_lane(arrival, lane, layout)
+    ctx = _make_context(arrival, lane, protocol, layout, lateral_buffer, min_zone_entry)
     return _search_min_tf(ctx, horizon_cap)[0]
 
 
 def plan(
-    request: PlanRequest,
+    arrival: Arrival,
     protocol: CrossingProtocol,
     layout: IntersectionLayout,
     *,
@@ -589,14 +564,14 @@ def plan(
     _check_options(lateral_buffer, horizon_cap)
     min_zone_entry = protocol.latest_zone_entry if Policy(policy) is Policy.FIFO else None
     outcomes, best = [], None
-    for lane in layout.allowed_lanes(request.movement):
-        ctx = _make_context(request, lane, protocol, layout, lateral_buffer, min_zone_entry)
+    for lane in layout.allowed_lanes(arrival.movement):
+        ctx = _make_context(arrival, lane, protocol, layout, lateral_buffer, min_zone_entry)
         tf, traj, binding, occupancy = _search_min_tf(ctx, horizon_cap)
         outcomes.append(LaneOutcome(lane, tf, binding))
         # Lanes ascend, so of equal exit times the first is the lowest lane's.
         if tf is not None and (best is None or tf < best[1]):
             best = lane, tf, traj, binding, occupancy
     if best is None:
-        raise PlanningError(request.vehicle_id, {o.lane: o.binding_constraint for o in outcomes})
+        raise PlanningError(arrival.vehicle_id, {o.lane: o.binding_constraint for o in outcomes})
     lane, tf, traj, binding, occupancy = best
     return PlanResult(lane, tf, traj, binding, tuple(outcomes), occupancy)

@@ -416,6 +416,10 @@ def generate_random_scenario(
     rear-end constraint is satisfiable even behind a leader that has slowed
     to the speed floor.
     """
+    if not 0.0 < mean_gap < math.inf:
+        raise ValueError(f"mean_gap must be positive and finite, got {mean_gap!r}")
+    if n_vehicles < 0:
+        raise ValueError(f"n_vehicles must be non-negative, got {n_vehicles!r}")
     rng = random.Random(seed)
     layout = layout or IntersectionLayout()
     params = params or VehicleParams()

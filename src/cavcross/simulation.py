@@ -18,19 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import IntersectionLayout, LaneId, Movement, conflicts
+from .geometry import IntersectionLayout, LaneId, conflicts
 from .planner import (
-    PlanRequest,
+    Arrival,
     PlanResult,
     PlanningError,
     Policy,
-    _Caps,
     _check_options,
-    _tightened_params,
     lateral_separation,
     plan,
 )
@@ -42,27 +40,6 @@ class VehiclePhase(str, Enum):
     APPROACH = "approach"
     MERGING_ZONE = "merging_zone"
     EXIT = "exit"
-    DONE = "done"
-
-
-@dataclass(frozen=True)
-class Arrival:
-    vehicle_id: str
-    time: float
-    movement: Movement
-    v0: float
-    params: VehicleParams
-    caps: _Caps = field(init=False, repr=False, compare=False)  # planning bounds, as a request's
-
-    def __post_init__(self) -> None:
-        # The scenario parser reports these as errors of the arrival.
-        if not isinstance(self.vehicle_id, str) or not self.vehicle_id:
-            raise ValueError(f"vehicle id must be a non-empty string, got {self.vehicle_id!r}")
-        if not isinstance(self.movement, Movement):
-            raise ValueError(f"movement must be a Movement, got {self.movement!r}")
-        if not isinstance(self.params, VehicleParams):
-            raise ValueError(f"params must be VehicleParams, got {self.params!r}")
-        self.__dict__["caps"] = _tightened_params(self.params, self.v0)
 
 
 @dataclass(frozen=True)
@@ -89,8 +66,6 @@ class Scenario:
             if arrival.vehicle_id in seen:
                 raise ValueError(f"duplicate vehicle id {arrival.vehicle_id!r}")
             seen.add(arrival.vehicle_id)
-            if not math.isfinite(arrival.time):
-                raise ValueError(f"arrival time of {arrival.vehicle_id!r} must be finite")
             if arrival.time < prev:
                 raise ValueError("arrival times must be non-decreasing")
             prev = arrival.time
@@ -485,7 +460,7 @@ def schedule(
     for arrival in scenario.arrivals:
         try:
             result = plan(
-                PlanRequest._of_arrival(arrival),
+                arrival,
                 protocol,
                 scenario.layout,
                 policy=scenario.policy,
@@ -577,23 +552,17 @@ def _build_metrics(
         )
 
     if plans:
-        feas = {
-            vid: protocol.get(vid).trajectory.feasibility(arrivals[vid].params)
-            for vid in plans
-        }
-        t_start = min(a.time for a in scenario.arrivals)
-        makespan = max(p.tf for p in plans.values()) - t_start
+        extrema = [result.trajectory.extrema for result in plans.values()]
+        totals = plan_totals(plans)
         aggregate = AggregateMetrics(
             vehicle_count=len(plans),
-            throughput_per_min=60.0 * len(plans) / makespan if makespan > 0 else 0.0,
+            throughput_per_min=totals.throughput_per_min,
             total_energy=sum(m.energy for m in per_vehicle.values()),
-            total_travel_time=sum(m.travel_time for m in per_vehicle.values()),
-            max_abs_accel=max(
-                max(abs(r.min_accel), abs(r.max_accel)) for r in feas.values()
-            ),
-            max_speed=max(r.max_speed for r in feas.values()),
-            min_speed=min(r.min_speed for r in feas.values()),
-            makespan=makespan,
+            total_travel_time=totals.total_travel_time,
+            max_abs_accel=max(max(abs(e.min_accel), abs(e.max_accel)) for e in extrema),
+            max_speed=max(e.max_speed for e in extrema),
+            min_speed=min(e.min_speed for e in extrema),
+            makespan=totals.makespan,
         )
     else:
         aggregate = AggregateMetrics(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -604,10 +573,28 @@ def _build_metrics(
 # Policy comparison
 # ---------------------------------------------------------------------------
 
+class PlanTotals(NamedTuple):
+    total_travel_time: float
+    makespan: float
+    throughput_per_min: float
+
+
+def plan_totals(plans: dict[str, PlanResult]) -> PlanTotals:
+    """Totals of one policy's plans of every arrival, in arrival order; each
+    plan's trajectory starts at its arrival time."""
+    if not plans:
+        return PlanTotals(0.0, 0.0, 0.0)
+    travel = sum(result.tf - result.trajectory.t0 for result in plans.values())
+    makespan = max(p.tf for p in plans.values()) - min(p.trajectory.t0 for p in plans.values())
+    return PlanTotals(travel, makespan, 60.0 * len(plans) / makespan if makespan > 0 else 0.0)
+
+
 @dataclass
 class PolicyComparison:
-    optimal: Optional[RunResult]
-    fifo: Optional[RunResult]
+    """Each policy's plans, or None where one of its arrivals was refused."""
+
+    optimal: Optional[dict[str, PlanResult]]
+    fifo: Optional[dict[str, PlanResult]]
     errors: dict[str, str] = field(default_factory=dict)
 
     def travel_time_delta(self) -> Optional[float]:
@@ -615,23 +602,19 @@ class PolicyComparison:
         if self.optimal is None or self.fifo is None:
             return None
         return (
-            self.fifo.metrics.aggregate.total_travel_time
-            - self.optimal.metrics.aggregate.total_travel_time
+            plan_totals(self.fifo).total_travel_time
+            - plan_totals(self.optimal).total_travel_time
         )
 
 
 def compare_policies(scenario: Scenario) -> PolicyComparison:
-    """Run the same arrivals under both policies; failures are reported."""
-    results: dict[str, Optional[RunResult]] = {}
+    """Schedule the same arrivals under both policies; failures are reported."""
+    plans: dict[str, Optional[dict[str, PlanResult]]] = {}
     errors: dict[str, str] = {}
     for policy in (Policy.OPTIMAL, Policy.FIFO):
         try:
-            results[policy.value] = run(replace(scenario, policy=policy))
+            plans[policy.value] = schedule(replace(scenario, policy=policy))[1]
         except SimulationError as exc:
-            results[policy.value] = None
+            plans[policy.value] = None
             errors[policy.value] = str(exc)
-    return PolicyComparison(
-        optimal=results[Policy.OPTIMAL.value],
-        fifo=results[Policy.FIFO.value],
-        errors=errors,
-    )
+    return PolicyComparison(plans[Policy.OPTIMAL.value], plans[Policy.FIFO.value], errors)

@@ -4,7 +4,7 @@ Minimizing the quadratic control effort (1/2)*integral(u^2) for double-
 integrator motion between known entry and exit conditions gives a control
 input that is linear in time, hence a quadratic speed and a cubic position
 law.  This module constructs that cubic from boundary data, evaluates and
-inverts it, checks it against speed/acceleration bounds, and computes the
+inverts it, finds its speed and acceleration extrema, and computes the
 control cost.  Time is kept relative to the entry instant for numerical
 conditioning; all public methods accept and return absolute times.
 
@@ -80,29 +80,6 @@ class Extrema(NamedTuple):
     max_speed: float
     min_accel: float
     max_accel: float
-
-
-class BoundViolation(NamedTuple):
-    bound: str  # "v_min" | "v_max" | "u_min" | "u_max"
-    magnitude: float
-    time: float
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Exact speed/acceleration extrema of a trajectory against bounds."""
-
-    speed_ok: bool
-    accel_ok: bool
-    min_speed: float
-    max_speed: float
-    min_accel: float
-    max_accel: float
-    worst_violation: Optional[BoundViolation]
-
-    @property
-    def ok(self) -> bool:
-        return self.speed_ok and self.accel_ok
 
 
 @dataclass(frozen=True)
@@ -216,39 +193,7 @@ class CubicTrajectory:
         c3, c2, c1, c0 = (float(c) for c in coeffs)
         return InverseFit(c3, c2, c1, c0, residual)
 
-    # -- feasibility and cost --------------------------------------------------
-
-    def feasibility(self, params: VehicleParams) -> FeasibilityReport:
-        """Exact bound check against the extrema (see `extrema`)."""
-        min_speed, max_speed, min_accel, max_accel = self.extrema
-        T = self.duration
-        vertex = _speed_vertex(self.c3, self.c2, T)
-        speed_taus = (0.0, T) if vertex is None else (0.0, T, vertex)
-
-        def first_tau(taus, value, quantity):
-            # The offset of the first candidate at the extremum, as min/max pick it.
-            return next(tau for tau in taus if getattr(self._pva(tau), quantity) == value)
-
-        violations = []
-        if min_speed < params.v_min:
-            tau = first_tau(speed_taus, min_speed, "speed")
-            violations.append(BoundViolation("v_min", params.v_min - min_speed, self.t0 + tau))
-        if max_speed > params.v_max:
-            tau = first_tau(speed_taus, max_speed, "speed")
-            violations.append(BoundViolation("v_max", max_speed - params.v_max, self.t0 + tau))
-        if min_accel < params.u_min:
-            tau = first_tau((0.0, T), min_accel, "accel")
-            violations.append(BoundViolation("u_min", params.u_min - min_accel, self.t0 + tau))
-        if max_accel > params.u_max:
-            tau = first_tau((0.0, T), max_accel, "accel")
-            violations.append(BoundViolation("u_max", max_accel - params.u_max, self.t0 + tau))
-
-        speed_ok = params.v_min <= min_speed and max_speed <= params.v_max
-        accel_ok = params.u_min <= min_accel and max_accel <= params.u_max
-        worst = max(violations, key=lambda v: v.magnitude) if violations else None
-        return FeasibilityReport(
-            speed_ok, accel_ok, min_speed, max_speed, min_accel, max_accel, worst
-        )
+    # -- cost -----------------------------------------------------------------
 
     def energy_cost(self) -> float:
         """Control cost (1/2)*integral(u^2) over the window, in closed form.

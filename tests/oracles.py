@@ -13,7 +13,7 @@ entry, and the run's sampled log and violations by the original per-step
 object loop, the RK4 cross-check by its original scalar step loop,
 the streamed CSV artifacts by the original whole-run writer, which formats
 every cell at once and pivots each plot through a times x vehicles grid,
-a layout's route records and a request's planning bounds by the methods
+a layout's route records and an arrival's planning bounds by the methods
 that computed them on every call, and a search context's lane leader and
 live conflicting occupancies by the gather each plan made before
 registration filed them.
@@ -26,11 +26,12 @@ import io
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from cavcross import (
+    Arrival,
     BindingConstraint,
     Cardinal,
     CrossingProtocol,
@@ -41,7 +42,6 @@ from cavcross import (
     MergingWindow,
     Movement,
     Occupancy,
-    PlanRequest,
     PlanResult,
     PlanningError,
     Policy,
@@ -73,9 +73,7 @@ from cavcross.protocol import Filed
 from cavcross.simulation import IntegrationCheck, RunResult, Samples
 from cavcross.trajectory import (
     _INVERT_TOL,
-    BoundViolation,
     Extrema,
-    FeasibilityReport,
     InvalidHorizonError,
     NonMonotoneError,
     OutOfDomainError,
@@ -172,7 +170,7 @@ def _position_speed(traj: CubicTrajectory, times: np.ndarray):
 
 
 def grid_min_tf(
-    request: PlanRequest,
+    request: Arrival,
     lane: int,
     protocol: CrossingProtocol,
     layout: IntersectionLayout,
@@ -192,8 +190,8 @@ def grid_min_tf(
     s_total = layout.total_distance(request.movement)
     k = max(1, int(math.floor(s_total / request.params.v_max / step)))
     while True:
-        tf = request.t0 + k * step
-        if tf > request.t0 + horizon_cap:
+        tf = request.time + k * step
+        if tf > request.time + horizon_cap:
             return None
         if feasible_tf(
             request,
@@ -226,10 +224,9 @@ def admitted_protocol(scenario) -> CrossingProtocol:
     plan; a vehicle that cannot be planned is left out."""
     protocol = CrossingProtocol(scenario.layout)
     for a in scenario.arrivals:
-        request = PlanRequest(a.vehicle_id, a.movement, a.time, a.v0, a.params)
         try:
             result = plan(
-                request,
+                a,
                 protocol,
                 scenario.layout,
                 policy=scenario.policy,
@@ -256,7 +253,7 @@ def make_entry(
 
 # ---------------------------------------------------------------------------
 # What each plan computed anew before a layout kept one route record per
-# movement and a request its planning bounds: verbatim copies of
+# movement and an arrival its planning bounds: verbatim copies of
 # `IntersectionLayout.allowed_lanes`, `total_distance` and `merging_window`,
 # and of the planner's `_tightened_params`, which built a `VehicleParams`.
 # ---------------------------------------------------------------------------
@@ -355,7 +352,7 @@ def _predecessor_on_lane(
 
 
 def make_context_reference(
-    request: PlanRequest,
+    request: Arrival,
     lane: LaneId,
     protocol: CrossingProtocol,
     layout: IntersectionLayout,
@@ -363,7 +360,7 @@ def make_context_reference(
     min_zone_entry: Optional[float],
 ) -> planner._SearchContext:
     route = layout.route(request.movement)
-    lead = predecessor_on_lane_reference(protocol, lane, request.movement.origin, request.t0)
+    lead = predecessor_on_lane_reference(protocol, lane, request.movement.origin, request.time)
     leader = None if lead is None else (
         lead.trajectory.absolute_coefficients(), lead.t0, lead.tf
     )
@@ -371,14 +368,14 @@ def make_context_reference(
     # here passes the check's `t_in - buffer > t_out + slack` for all of them.
     # Per conflicting movement, the occupancies before the first whose running
     # maximum exit time (plus slack) reaches `earliest` are all dropped.
-    earliest = request.t0 - lateral_buffer
+    earliest = request.time - lateral_buffer
     conflicting: list[Occupancy] = []
     for filed in protocol.conflicting_filed(request.movement):
         start = bisect_left(filed.latest, earliest, key=lambda t_out: t_out + SAFETY_SLACK)
         conflicting += [o for o in filed.items[start:] if not earliest > o.t_out + SAFETY_SLACK]
     conflicting.sort()
     return planner._SearchContext(
-        request=request,
+        arrival=request,
         s_total=route.total_distance,
         window_entry=route.window.entry,
         window_exit=route.window.exit,
@@ -393,7 +390,7 @@ def make_context_reference(
 # ---------------------------------------------------------------------------
 # The planner's original search: every registered entry scanned for
 # conflicts, every conflicting occupancy checked on every probe, and a full
-# FeasibilityReport built per probe.  Kept as the reference for the indexed,
+# `BoundsReport` built per probe.  Kept as the reference for the indexed,
 # pruned search with the cached bounds check.
 # ---------------------------------------------------------------------------
 
@@ -439,7 +436,30 @@ def min_speed_reference(traj: CubicTrajectory) -> float:
     return min(candidates)
 
 
-def feasibility_reference(traj: CubicTrajectory, params: VehicleParams) -> FeasibilityReport:
+class ExceededBound(NamedTuple):
+    bound: str  # "v_min" | "v_max" | "u_min" | "u_max"
+    magnitude: float
+    time: float
+
+
+@dataclass(frozen=True)
+class BoundsReport:
+    """Exact speed/acceleration extrema of a trajectory against bounds."""
+
+    speed_ok: bool
+    accel_ok: bool
+    min_speed: float
+    max_speed: float
+    min_accel: float
+    max_accel: float
+    worst_violation: Optional[ExceededBound]
+
+    @property
+    def ok(self) -> bool:
+        return self.speed_ok and self.accel_ok
+
+
+def feasibility_reference(traj: CubicTrajectory, params: VehicleParams) -> BoundsReport:
     """Exact bound check: speed is quadratic (endpoint or interior vertex
     extrema), acceleration is linear (endpoint extrema)."""
     T = traj.duration
@@ -457,18 +477,18 @@ def feasibility_reference(traj: CubicTrajectory, params: VehicleParams) -> Feasi
 
     violations = []
     if min_speed < params.v_min:
-        violations.append(BoundViolation("v_min", params.v_min - min_speed, traj.t0 + t_vmin))
+        violations.append(ExceededBound("v_min", params.v_min - min_speed, traj.t0 + t_vmin))
     if max_speed > params.v_max:
-        violations.append(BoundViolation("v_max", max_speed - params.v_max, traj.t0 + t_vmax))
+        violations.append(ExceededBound("v_max", max_speed - params.v_max, traj.t0 + t_vmax))
     if min_accel < params.u_min:
-        violations.append(BoundViolation("u_min", params.u_min - min_accel, traj.t0 + t_umin))
+        violations.append(ExceededBound("u_min", params.u_min - min_accel, traj.t0 + t_umin))
     if max_accel > params.u_max:
-        violations.append(BoundViolation("u_max", max_accel - params.u_max, traj.t0 + t_umax))
+        violations.append(ExceededBound("u_max", max_accel - params.u_max, traj.t0 + t_umax))
 
     speed_ok = params.v_min <= min_speed and max_speed <= params.v_max
     accel_ok = params.u_min <= min_accel and max_accel <= params.u_max
     worst = max(violations, key=lambda v: v.magnitude) if violations else None
-    return FeasibilityReport(
+    return BoundsReport(
         speed_ok, accel_ok, min_speed, max_speed, min_accel, max_accel, worst
     )
 
@@ -608,7 +628,7 @@ def rear_end_margin_reference(
 
 @dataclass
 class _SearchContext:
-    request: PlanRequest
+    request: Arrival
     s_total: float
     window_entry: float
     window_exit: float
@@ -625,7 +645,7 @@ class _SearchContext:
         for an entry-order or lateral rejection, the margin for a rear-end one.
         """
         req = self.request
-        traj = solve_boundary_reference(req.v0, self.s_total, req.t0, tf)
+        traj = solve_boundary_reference(req.v0, self.s_total, req.time, tf)
         if not feasibility_reference(traj, self.caps).ok:
             return False, _Fail.BOUNDS, None
         t_in = invert_reference(traj, self.window_entry)
@@ -646,12 +666,12 @@ class _SearchContext:
         return True, None, None
 
     def zone_entry(self, tf: float) -> float:
-        traj = solve_boundary_reference(self.request.v0, self.s_total, self.request.t0, tf)
+        traj = solve_boundary_reference(self.request.v0, self.s_total, self.request.time, tf)
         return invert_reference(traj, self.window_entry)
 
 
 def _make_context(
-    request: PlanRequest,
+    request: Arrival,
     lane: LaneId,
     protocol: CrossingProtocol,
     layout: IntersectionLayout,
@@ -659,7 +679,7 @@ def _make_context(
     min_zone_entry: Optional[float],
 ) -> _SearchContext:
     window = layout.merging_window(request.movement)
-    leader = predecessor_scan(protocol, lane, request.movement.origin, request.t0)
+    leader = predecessor_scan(protocol, lane, request.movement.origin, request.time)
     return _SearchContext(
         request=request,
         s_total=layout.total_distance(request.movement),
@@ -703,17 +723,17 @@ def _search_min_tf(
     t_lb = _bounds_lower_bracket(v0, s_total, ctx.caps)
     # Beyond this horizon the terminal speed drops below the floor for good.
     t_ub = 3.0 * s_total / (v0 + 2.0 * ctx.caps.v_min)
-    tf_max = req.t0 + min(horizon_cap, t_ub)
-    jump_hi = req.t0 + min(2.0 * s_total / v0, min(horizon_cap, t_ub))
+    tf_max = req.time + min(horizon_cap, t_ub)
+    jump_hi = req.time + min(2.0 * s_total / v0, min(horizon_cap, t_ub))
 
-    tf = req.t0 + t_lb
+    tf = req.time + t_lb
     last_bad: Optional[float] = None
     last_fail = _Fail.BOUNDS
     while tf <= tf_max + 1e-12:
         ok, fail, zone_target = ctx.check(tf)
         if ok:
             if last_bad is None:
-                traj = solve_boundary_reference(v0, s_total, req.t0, tf)
+                traj = solve_boundary_reference(v0, s_total, req.time, tf)
                 return tf, traj, BindingConstraint.BOUNDS
             lo, hi = last_bad, tf
             fail_at_lo = last_fail
@@ -724,7 +744,7 @@ def _search_min_tf(
                     hi = mid
                 else:
                     lo, fail_at_lo = mid, fail_mid
-            traj = solve_boundary_reference(v0, s_total, req.t0, hi)
+            traj = solve_boundary_reference(v0, s_total, req.time, hi)
             return hi, traj, _FAIL_TO_BINDING[fail_at_lo]
         nxt = tf + DEFAULT_RESOLUTION
         if fail in (_Fail.ORDER, _Fail.LATERAL) and tf < jump_hi:
@@ -737,7 +757,7 @@ def _search_min_tf(
 
 
 def plan_reference(
-    request: PlanRequest,
+    request: Arrival,
     protocol: CrossingProtocol,
     layout: IntersectionLayout,
     *,
@@ -779,7 +799,7 @@ def plan_reference(
 
 @dataclass
 class _ScanContext:
-    request: PlanRequest
+    arrival: Arrival
     s_total: float
     window_entry: float
     window_exit: float
@@ -791,8 +811,8 @@ class _ScanContext:
 
     def check(self, tf: float) -> tuple[bool, Optional[_Fail], Optional[float]]:
         """(ok, failed-constraint, zone-entry target to jump past)."""
-        req = self.request
-        v0, t0, s_total = req.v0, req.t0, self.s_total
+        req = self.arrival
+        v0, t0, s_total = req.v0, req.time, self.s_total
         c3, c2, T = _boundary_cubic(v0, s_total, t0, tf)
         extrema = _cubic_extrema(c3, c2, v0, T)
         if not _within_caps(extrema, self.caps):
@@ -817,8 +837,8 @@ class _ScanContext:
 def search_min_tf_scan(
     ctx: _ScanContext, horizon_cap: float
 ) -> tuple[Optional[float], Optional[CubicTrajectory], BindingConstraint]:
-    req = ctx.request
-    v0, t0, s_total = req.v0, req.t0, ctx.s_total
+    req = ctx.arrival
+    v0, t0, s_total = req.v0, req.time, ctx.s_total
     t_lb = _bounds_lower_bracket(v0, s_total, ctx.caps)
     t_ub = 3.0 * s_total / (v0 + 2.0 * ctx.caps.v_min)
     tf_max = t0 + min(horizon_cap, t_ub)
@@ -868,7 +888,7 @@ def search_min_tf_scan(
 
 
 def plan_scan(
-    request: PlanRequest,
+    request: Arrival,
     protocol: CrossingProtocol,
     layout: IntersectionLayout,
     *,

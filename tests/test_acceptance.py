@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from cavcross import (
+    Arrival,
     Cardinal,
     CrossingProtocol,
     IntersectionLayout,
     Movement,
-    PlanRequest,
     VehicleParams,
     compare_policies,
     conflicts,
@@ -24,7 +24,6 @@ from cavcross import (
     load_scenario,
     min_feasible_tf,
     rear_end_margin,
-    rear_end_ok,
     run,
     solve_boundary,
 )
@@ -75,7 +74,7 @@ def test_criterion_1_reference_scenario_properties():
     # Speed strictly inside (2, 18), acceleration strictly inside (-3, 3):
     # no bound becomes active anywhere on any trajectory.
     for arrival in scenario.arrivals:
-        report = result.plans[arrival.vehicle_id].trajectory.feasibility(arrival.params)
+        report = result.plans[arrival.vehicle_id].trajectory.extrema
         assert 2.0 < report.min_speed and report.max_speed < 18.0
         assert -3.0 < report.min_accel and report.max_accel < 3.0
     for speed, accel in zip(log.speed.tolist(), log.accel.tolist()):
@@ -157,7 +156,7 @@ def test_criterion_5_planner_minimality():
     params = VehicleParams()
 
     protocol = CrossingProtocol(layout)
-    req = PlanRequest("cap", WE, 0.0, 18.0, params)
+    req = Arrival("cap", 0.0, WE, 18.0, params)
     lane = layout.allowed_lanes(WE)[0]
     tf = min_feasible_tf(req, lane, protocol, layout)
     assert abs(tf - 275.0 / 18.0) <= 1e-3
@@ -169,7 +168,7 @@ def test_criterion_5_planner_minimality():
         v0 = float(rng.uniform(2.0, 18.0))
         movement = movements[int(rng.integers(0, len(movements)))]
         protocol = CrossingProtocol(layout)
-        req = PlanRequest(f"s{single}", movement, 0.0, v0, params)
+        req = Arrival(f"s{single}", 0.0, movement, v0, params)
         lane = layout.allowed_lanes(movement)[0]
         got = min_feasible_tf(req, lane, protocol, layout)
         want = oracles.grid_min_tf(req, lane, protocol, layout)
@@ -185,12 +184,12 @@ def test_criterion_5_planner_minimality():
         gap = float(rng.uniform(1.6, 6.0))
         protocol = CrossingProtocol(layout)
         lane_first = layout.allowed_lanes(first_mv)[0]
-        first_req = PlanRequest("first", first_mv, 0.0, v_first, params)
+        first_req = Arrival("first", 0.0, first_mv, v_first, params)
         first_tf = min_feasible_tf(first_req, lane_first, protocol, layout)
         first = solve_boundary(v_first, layout.total_distance(first_mv), 0.0, first_tf)
         protocol.register(oracles.make_entry("first", first, first_mv, lane_first))
 
-        second_req = PlanRequest("second", second_mv, gap, v_second, params)
+        second_req = Arrival("second", gap, second_mv, v_second, params)
         lane_second = layout.allowed_lanes(second_mv)[0]
         got = min_feasible_tf(second_req, lane_second, protocol, layout)
         want = oracles.grid_min_tf(second_req, lane_second, protocol, layout)
@@ -229,10 +228,10 @@ def test_criterion_6_safety_oracle_agreement():
     threshold = params.safe_distance(v) / v
     assert threshold == pytest.approx(1.15)
     lead = oracles.make_entry("lead", solve_boundary(v, 275.0, 0.0, 27.5), WE, lane)
-    assert rear_end_ok(solve_boundary(v, 275.0, threshold, threshold + 27.5), lead, params)
-    assert not rear_end_ok(
-        solve_boundary(v, 275.0, threshold - 1e-3, threshold - 1e-3 + 27.5), lead, params
-    )
+    at = solve_boundary(v, 275.0, threshold, threshold + 27.5)
+    assert rear_end_margin(at, lead, params) >= 0.0
+    early = solve_boundary(v, 275.0, threshold - 1e-3, threshold - 1e-3 + 27.5)
+    assert rear_end_margin(early, lead, params) < 0.0
     _passed(6, "analytic rear-end minimum matches dense sampling on 500 pairs")
 
 
@@ -247,14 +246,12 @@ def test_criterion_7_fifo_dominance():
         if comparison.optimal is None or comparison.fifo is None:
             continue
         feasible += 1
-        for vid in comparison.optimal.metrics.per_vehicle:
-            opt_tf = comparison.optimal.metrics.per_vehicle[vid].tf
-            fifo_tf = comparison.fifo.metrics.per_vehicle[vid].tf
-            assert opt_tf <= fifo_tf + 1e-9, (scenario.seed, vid)
+        for vid, optimal in comparison.optimal.items():
+            assert optimal.tf <= comparison.fifo[vid].tf + 1e-9, (scenario.seed, vid)
 
     # Constructed strict improvement: the later vehicle clears the zone
     # before the slow leader arrives there; FIFO forbids exactly that.
-    from cavcross import Arrival, Policy, Scenario
+    from cavcross import Policy, Scenario
 
     params = VehicleParams()
     scenario = Scenario(

@@ -43,6 +43,42 @@ def test_clear_gain_needs_nine_tenths_and_a_gap_above_the_parent_iqr():
     assert lower["change_wins"] == "0/10" and lower["clear_gain"] is False
 
 
+def test_regression_verdict_against_the_bound():
+    parent = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]
+    # Medians 1.0 -> 1.3: worse by 30% against a bound of 25%.
+    slower = [p + 0.3 for p in parent]
+    assert bench_pairs.summarize(parent, slower, bound=0.25)["regression"] == "regressed"
+    # Worse by 20%, inside the bound, and the parent's spread is narrow.
+    within = [p + 0.2 for p in parent]
+    assert bench_pairs.summarize(parent, within, bound=0.25)["regression"] == "none"
+    assert bench_pairs.summarize(parent, parent, bound=0.25)["regression"] == "none"
+    # For a higher-is-better metric the same numbers are a gain, and lower ones regress.
+    assert bench_pairs.summarize(parent, slower, "higher", 0.25)["regression"] == "none"
+    assert (
+        bench_pairs.summarize(parent, [p - 0.3 for p in parent], "higher", 0.25)["regression"]
+        == "regressed"
+    )
+
+
+def test_wide_parent_spread_is_unresolved_unless_every_run_is_better():
+    # Inclusive quartiles 0.85 and 1.15: the parent's IQR is 0.3 of its median 1.0.
+    parent = [0.6, 0.8, 0.8, 1.0, 1.0, 1.0, 1.0, 1.2, 1.2, 1.4]
+    summary = bench_pairs.summarize(parent, parent, bound=0.25)
+    assert summary["parent_iqr"] == pytest.approx(0.3)
+    assert summary["regression"] == "unresolved"
+    # Every change run below every parent run: not a regression at any spread.
+    faster = [0.5 - 0.01 * i for i in range(10)]
+    assert bench_pairs.summarize(parent, faster, bound=0.25)["regression"] == "none"
+    # One change run that ties the best parent run leaves it unresolved.
+    tied = [*faster[:9], 0.6]
+    assert bench_pairs.summarize(parent, tied, bound=0.25)["regression"] == "unresolved"
+    # A worse median beyond the bound is a regression, whatever the spread.
+    slower = [p + 0.3 for p in parent]
+    assert bench_pairs.summarize(parent, slower, bound=0.25)["regression"] == "regressed"
+    # Without a bound nothing regresses.
+    assert bench_pairs.summarize(parent, slower)["regression"] == "none"
+
+
 def test_seed_ranges():
     assert bench_pairs.parse_seeds("51-55") == [51, 52, 53, 54, 55]
     assert bench_pairs.parse_seeds("1,4-5,9") == [1, 4, 5, 9]

@@ -1,8 +1,9 @@
 """Frozen SHA-256 hashes of the command-line outputs and of planner decisions.
 
-Any change to the bytes `cavcross run` writes or `cavcross plan` prints,
-or to any decision the planner makes on a 300-vehicle stream, fails here.  Re-freeze a hash only for an intended behaviour change, and say
-why in CHANGES.md.
+Any change to the bytes `cavcross run` writes or `cavcross plan` and
+`cavcross compare` print, or to any decision the planner makes on a
+300-vehicle stream, fails here.  Re-freeze a hash only for an intended
+behaviour change, and say why in CHANGES.md.
 """
 
 import dataclasses
@@ -74,6 +75,10 @@ DECISION_GOLDEN = {
     "fifo": "85c473587d86739d2e4b2ebe52096a200e7c1bf2fba1c0384135a0ef46f9e9a1",
 }
 
+# `cavcross compare` on the reference scenario: the per-vehicle exit times,
+# the totals and the throughput of both policies.
+COMPARE_GOLDEN = "b0d70617844b0a77c9560936a48c21ae4b6f4888f075b10832f6c512f5122f99"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -107,6 +112,12 @@ def test_plan_output_matches_golden(policy, tmp_path, capsys):
     code = main(["plan", str(path), "--vehicle", "veh60"])
     assert code == EXIT_OK
     assert _sha256(capsys.readouterr().out.encode()) == PLAN_GOLDEN[policy]
+
+
+def test_compare_output_matches_golden(reference_path, capsys):
+    capsys.readouterr()
+    assert main(["compare", str(reference_path)]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == COMPARE_GOLDEN
 
 
 def _decisions(plans) -> str:

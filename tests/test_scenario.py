@@ -478,3 +478,13 @@ class TestGenerator:
             scenario = generate_random_scenario(seed=seed, n_vehicles=4)
             result = run(scenario)
             assert result.ok
+
+    @pytest.mark.parametrize("mean_gap", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_mean_gap_named(self, mean_gap):
+        with pytest.raises(ValueError, match="mean_gap must be positive and finite"):
+            generate_random_scenario(seed=1, mean_gap=mean_gap)
+
+    def test_negative_vehicle_count_named(self):
+        with pytest.raises(ValueError, match="n_vehicles must be non-negative"):
+            generate_random_scenario(seed=1, n_vehicles=-3)
+        assert generate_random_scenario(seed=1, n_vehicles=0).arrivals == ()

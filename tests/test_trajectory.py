@@ -200,48 +200,42 @@ class TestInverseCubicFit:
 class TestFeasibility:
     def test_reference_bounds_feasible(self, params):
         traj = solve_boundary(10.0, 275.0, 0.0, 27.5)
-        report = traj.feasibility(params)
-        assert report.ok and report.speed_ok and report.accel_ok
-        assert report.worst_violation is None
+        assert _within_caps(traj.extrema, params)
 
     def test_worked_example_extrema(self, params):
         traj = solve_boundary(10.0, 275.0, 0.0, 25.0)
-        report = traj.feasibility(params)
-        assert report.max_speed == pytest.approx(11.5, abs=1e-12)
-        assert report.min_speed == pytest.approx(10.0, abs=1e-12)
-        assert report.max_accel == pytest.approx(0.12, abs=1e-12)
-        assert report.ok
+        extrema = traj.extrema
+        assert extrema.max_speed == pytest.approx(11.5, abs=1e-12)
+        assert extrema.min_speed == pytest.approx(10.0, abs=1e-12)
+        assert extrema.max_accel == pytest.approx(0.12, abs=1e-12)
+        assert _within_caps(extrema, params)
 
     def test_mean_value_infeasible(self, params):
         # 275 m in 5 s needs a mean speed of 55 m/s; far beyond the limit.
         traj = solve_boundary(2.0, 275.0, 0.0, 5.0)
-        report = traj.feasibility(params)
-        assert not report.speed_ok
-        assert report.max_speed > params.v_max
-        assert report.worst_violation is not None
-        assert report.worst_violation.bound == "v_max"
+        assert traj.extrema.max_speed > params.v_max
+        assert not _within_caps(traj.extrema, params)
 
     def test_extrema_match_dense_sampling(self):
         rng = np.random.default_rng(10)
         for v0, s, T in random_boundary_inputs(rng, 100):
             traj = solve_boundary(v0, s, 0.0, T)
-            report = traj.feasibility(VehicleParams())
+            extrema = traj.extrema
             vmin, vmax, umin, umax = oracles.dense_speed_accel_extrema(traj)
-            assert report.min_speed == pytest.approx(vmin, abs=1e-6)
-            assert report.max_speed == pytest.approx(vmax, abs=1e-6)
-            assert report.min_accel == pytest.approx(umin, abs=1e-6)
-            assert report.max_accel == pytest.approx(umax, abs=1e-6)
+            assert extrema.min_speed == pytest.approx(vmin, abs=1e-6)
+            assert extrema.max_speed == pytest.approx(vmax, abs=1e-6)
+            assert extrema.min_accel == pytest.approx(umin, abs=1e-6)
+            assert extrema.max_accel == pytest.approx(umax, abs=1e-6)
 
     def test_tighter_horizon_never_relaxes_extremes(self):
         # Shrinking the horizon with fixed distance demands more speed/accel.
         v0, s = 10.0, 275.0
         prev_speed, prev_accel = -math.inf, -math.inf
         for T in [27.5, 25.0, 22.0, 20.0, 18.0, 16.5]:
-            traj = solve_boundary(v0, s, 0.0, T)
-            report = traj.feasibility(VehicleParams())
-            assert report.max_speed >= prev_speed - 1e-12
-            assert report.max_accel >= prev_accel - 1e-12
-            prev_speed, prev_accel = report.max_speed, report.max_accel
+            extrema = solve_boundary(v0, s, 0.0, T).extrema
+            assert extrema.max_speed >= prev_speed - 1e-12
+            assert extrema.max_accel >= prev_accel - 1e-12
+            prev_speed, prev_accel = extrema.max_speed, extrema.max_accel
 
 
 class TestEnergyCost:
@@ -289,8 +283,7 @@ class TestCubicTrajectoryInvariants:
 def _assert_extrema_agree(traj, caps):
     """Cached extrema against the per-call computation they replace."""
     assert traj.is_monotone == (oracles.min_speed_reference(traj) > 0.0)
-    report = traj.feasibility(caps)
-    assert report == oracles.feasibility_reference(traj, caps)
+    report = oracles.feasibility_reference(traj, caps)
     assert _within_caps(traj.extrema, caps) == report.ok
     assert tuple(traj.extrema) == (
         report.min_speed,
@@ -301,8 +294,8 @@ def _assert_extrema_agree(traj, caps):
 
 
 class TestCachedExtrema:
-    """`extrema`, `is_monotone`, `feasibility` and the planner's bounds test
-    give exactly what the per-call endpoint-and-vertex computation gave."""
+    """`extrema`, `is_monotone` and the planner's bounds test give exactly
+    what the per-call endpoint-and-vertex computation gave."""
 
     @given(
         v0=st.floats(0.5, 20.0),
@@ -334,7 +327,6 @@ class TestCachedExtrema:
         assert traj.extrema.max_speed == 10.0
         for v_min in (6.0, 7.5, traj.extrema.min_speed):
             _assert_extrema_agree(traj, VehicleParams(v_min=v_min))
-        assert traj.feasibility(VehicleParams(v_min=7.5)).worst_violation.time == 12.0
 
     def test_caps_hit_exactly(self):
         traj = solve_boundary(10.0, 275.0, 0.0, 25.0)

@@ -16,8 +16,12 @@ metric of BENCHMARK.json: each side's runs with their median and quartiles
 count for neither), the median difference and relative change, the parent's
 interquartile range, and whether the change is better in at least nine
 tenths of the pairs by a median difference larger than that range
-(`clear_gain`), every float rounded to 5 decimals.  Failed and attempted
-operations are summed per side.
+(`clear_gain`), and the no-regression verdict against the metric's relative
+`bound` (`regression`): `regressed` if the change's median is worse than the
+parent's by more than the bound, else `unresolved` if the parent's
+interquartile range is wider than the bound, unless every change run beats
+every parent run, else `none`.  Every float is rounded to 5 decimals.
+Failed and attempted operations are summed per side.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -46,9 +51,12 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def summarize(parent: list[float], change: list[float], better: str = "lower") -> dict:
-    """Medians, quartiles and wins of paired runs; `parent[i]` and `change[i]`
-    are one pair."""
+def summarize(
+    parent: list[float], change: list[float], better: str = "lower", bound: float = math.inf
+) -> dict:
+    """Medians, quartiles, wins and the no-regression verdict of paired runs;
+    `parent[i]` and `change[i]` are one pair, and `bound` is the largest
+    worsening of the median, relative to the parent's, that is no regression."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs on each side")
 
@@ -63,6 +71,13 @@ def summarize(parent: list[float], change: list[float], better: str = "lower") -
     p, c = side(parent), side(change)
     difference = c["median"] - p["median"]
     iqr = p["q3"] - p["q1"]
+    allowed = bound * abs(p["median"])
+    if sign * difference > allowed:
+        regression = "regressed"
+    elif iqr > allowed and not max(sign * x for x in change) < min(sign * x for x in parent):
+        regression = "unresolved"
+    else:
+        regression = "none"
     return {
         "parent": p,
         "change": c,
@@ -71,6 +86,7 @@ def summarize(parent: list[float], change: list[float], better: str = "lower") -
         "median_difference": difference,
         "parent_iqr": iqr,
         "clear_gain": 10 * wins >= 9 * len(parent) and -sign * difference > iqr,
+        "regression": regression,
     }
 
 
@@ -161,6 +177,7 @@ def main() -> int:
                     [r["metrics"][m["name"]]["value"] for r in sides["parent"]],
                     [r["metrics"][m["name"]]["value"] for r in sides["change"]],
                     m["better"],
+                    m["bound"],
                 )
                 for m in metrics
             },
