@@ -580,12 +580,13 @@ class PlanTotals(NamedTuple):
 
 
 def plan_totals(plans: dict[str, PlanResult]) -> PlanTotals:
-    """Totals of one policy's plans of every arrival, in arrival order; each
-    plan's trajectory starts at its arrival time."""
+    """Totals of one policy's plans of every arrival, summed in arrival
+    order; each plan's trajectory starts at its arrival time."""
     if not plans:
         return PlanTotals(0.0, 0.0, 0.0)
-    travel = sum(result.tf - result.trajectory.t0 for result in plans.values())
-    makespan = max(p.tf for p in plans.values()) - min(p.trajectory.t0 for p in plans.values())
+    results = plans.values()
+    travel = sum(r.tf - r.trajectory.t0 for r in results)
+    makespan = max(r.tf for r in results) - min(r.trajectory.t0 for r in results)
     return PlanTotals(travel, makespan, 60.0 * len(plans) / makespan if makespan > 0 else 0.0)
 
 

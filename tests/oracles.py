@@ -444,7 +444,9 @@ class ExceededBound(NamedTuple):
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Exact speed/acceleration extrema of a trajectory against bounds."""
+    """Exact speed/acceleration extrema of a trajectory against bounds, and
+    the worst bound exceeded with its time: the report the library made
+    before the planner and the metrics read `extrema` instead."""
 
     speed_ok: bool
     accel_ok: bool
