@@ -48,10 +48,10 @@ from .simulation import (
     MetricsReport,
     Policy,
     RunResult,
+    SafetyReport,
     Samples,
     Scenario,
     SimulationError,
-    VehiclePhase,
     Violation,
     compare_policies,
     integrate_dynamics,

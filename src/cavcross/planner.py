@@ -58,8 +58,8 @@ from .trajectory import _invert, _least_horizon_behind, _require_monotone
 
 # Margin by which planned extrema stay inside the hard bounds, and the
 # minimum slack demanded from the safety constraints.  The bound margin keeps
-# "no constraint becomes active" true of executed plans; the safety slack
-# protects sampled monitoring from float-level sign flips at the optimum.
+# "no constraint becomes active" true of executed plans; the safety slack keeps
+# the monitor's own exact arithmetic from a float-level sign flip at the optimum.
 BOUND_MARGIN = 1e-6
 SAFETY_SLACK = 1e-9
 

@@ -28,7 +28,7 @@ defaults:                        # vehicle parameters, overridable per arrival
 policy: optimal | fifo           # optional, default optimal
 
 sim:                             # optional section
-  dt_s: float                    # log/monitor step, default 0.01
+  dt_s: float                    # logging step, default 0.01
   lateral_buffer_s: float        # occupancy separation pad, default 0.0
   horizon_cap_s: float           # planning search limit, default 120.0
   seed: int                      # provenance of generated scenarios
@@ -45,6 +45,7 @@ arrivals:                        # list, times non-decreasing, ids unique
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from pathlib import Path
 from typing import Any, Optional
@@ -418,6 +419,8 @@ def generate_random_scenario(
     """
     if not 0.0 < mean_gap < math.inf:
         raise ValueError(f"mean_gap must be positive and finite, got {mean_gap!r}")
+    if isinstance(n_vehicles, bool) or not isinstance(n_vehicles, numbers.Integral):
+        raise ValueError(f"n_vehicles must be an integer, got {n_vehicles!r}")
     if n_vehicles < 0:
         raise ValueError(f"n_vehicles must be non-negative, got {n_vehicles!r}")
     rng = random.Random(seed)

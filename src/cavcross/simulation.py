@@ -1,28 +1,24 @@
-"""Deterministic scenario execution: plan on arrival, register, sample.
+"""Deterministic scenario execution: plan on arrival, register, check, sample.
 
 Vehicles are planned in arrival order against the crossing protocol as it
 stands when they reach the control zone, then follow their closed-form
-trajectories exactly.  A run samples those closed forms on the grid
-t = k*dt in one columnar pass (`snapshot`, numpy arrays with one row per
-grid time and active vehicle, no object per sample) and checks the samples
-for safety and bound violations (`monitor`), so two runs of one scenario
-are bit-identical.  A classical fixed-step RK4 integration of the vehicle
-dynamics under the same control input is kept as an independent
-cross-check of the closed forms (`integrate_dynamics`, one call per
-vehicle); as the control depends only on time, it takes all steps of a
-vehicle in array passes, with the results of a scalar step loop.
+trajectories exactly.  A run checks the registered plans exactly, pair by
+pair, and scores them (`monitor`), whatever the logging step; it samples
+them for the log on the grid t = k*dt in one columnar pass (`snapshot`), so
+two runs of one scenario are bit-identical.  A fixed-step RK4 integration
+of the dynamics under the same control input cross-checks each closed form
+(`integrate_dynamics`), in array passes with the results of a step loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import IntersectionLayout, LaneId, conflicts
+from .geometry import IntersectionLayout, LaneId, Movement, conflicts
 from .planner import (
     Arrival,
     PlanResult,
@@ -33,13 +29,7 @@ from .planner import (
     plan,
 )
 from .protocol import CrossingProtocol, ProtocolEntry
-from .trajectory import CubicTrajectory, VehicleParams
-
-
-class VehiclePhase(str, Enum):
-    APPROACH = "approach"
-    MERGING_ZONE = "merging_zone"
-    EXIT = "exit"
+from .trajectory import CubicTrajectory, VehicleParams, _speed_vertex
 
 
 @dataclass(frozen=True)
@@ -76,14 +66,12 @@ class Samples:
     """Sampled closed-form states as columns.
 
     One row per (grid time, active vehicle), ordered by time, then by
-    registration order.  `vehicle` indexes `vehicle_ids` and `lanes`, and
-    `phase` indexes `PHASES`.  `gap` is the reaction-scaled distance to the
-    nearest leader, `rear_margin` that gap less the safe distance; both are
-    NaN for a vehicle without a leader.
+    registration order.  `vehicle` indexes `vehicle_ids` and `lanes`.
+    `rear_margin` is the reaction-scaled distance to the nearest leader less
+    the safe distance, NaN for a vehicle without a leader.
     """
 
-    PHASES = (VehiclePhase.APPROACH, VehiclePhase.MERGING_ZONE, VehiclePhase.EXIT)
-    COLUMNS = ("t", "vehicle", "position", "speed", "accel", "phase", "gap", "rear_margin")
+    COLUMNS = ("t", "vehicle", "position", "speed", "accel", "rear_margin")
 
     vehicle_ids: tuple[str, ...]
     lanes: tuple[LaneId, ...]
@@ -92,8 +80,6 @@ class Samples:
     position: np.ndarray
     speed: np.ndarray
     accel: np.ndarray
-    phase: np.ndarray
-    gap: np.ndarray
     rear_margin: np.ndarray
 
     def __len__(self) -> int:
@@ -102,13 +88,9 @@ class Samples:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Samples):
             return NotImplemented
-        return (
-            self.vehicle_ids == other.vehicle_ids
-            and self.lanes == other.lanes
-            and all(
-                np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True)
-                for c in self.COLUMNS
-            )
+        columns = [(getattr(self, c), getattr(other, c)) for c in self.COLUMNS]
+        return (self.vehicle_ids, self.lanes) == (other.vehicle_ids, other.lanes) and all(
+            np.array_equal(a, b, equal_nan=True) for a, b in columns
         )
 
 
@@ -119,6 +101,14 @@ class Violation:
     vehicle_ids: tuple[str, ...]
     value: float
     message: str
+
+
+class SafetyReport(NamedTuple):
+    """Violations in time order; per vehicle, least rear-end margin (m) and lateral gap (s)."""
+
+    violations: list[Violation]
+    min_rear_margin: dict[str, Optional[float]]
+    min_lateral_margin: dict[str, Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -215,7 +205,7 @@ class SimulationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Monitoring
+# Sampling and monitoring
 # ---------------------------------------------------------------------------
 
 def snapshot(
@@ -231,6 +221,7 @@ def snapshot(
     """
     times = np.asarray(times)
     entries = protocol.entries
+    ids = tuple(e.vehicle_id for e in entries)
     # Each vehicle's rows are one run of grid steps.  Rows are numbered by
     # step, then registration order (a stable sort of the vehicle-by-vehicle
     # layout); `row_of` maps the vehicle-by-vehicle layout to that order.
@@ -247,19 +238,15 @@ def snapshot(
     position = np.empty(len(order))
     speed = np.empty(len(order))
     accel = np.empty(len(order))
-    phase = np.empty(len(order), dtype=np.int8)
     first_row = 0
     for entry, first, count in zip(entries, lo.tolist(), counts.tolist()):
         rows = row_of[first_row : first_row + count]
         first_row += count
         tr = entry.trajectory
         tau = np.minimum(np.maximum(times[first : first + count] - tr.t0, 0.0), tr.duration)
-        p = ((tr.c3 * tau + tr.c2) * tau + tr.c1) * tau + tr.c0
-        position[rows] = p
+        position[rows] = ((tr.c3 * tau + tr.c2) * tau + tr.c1) * tau + tr.c0
         speed[rows] = (3.0 * tr.c3 * tau + 2.0 * tr.c2) * tau + tr.c1
         accel[rows] = 6.0 * tr.c3 * tau + 2.0 * tr.c2
-        window = protocol.layout.merging_window(entry.movement)
-        phase[rows] = (p >= window.entry).astype(np.int8) + (p >= window.exit)
 
     # Rear-end followers share an approach and a lane.  The leader is the
     # nearest other vehicle of that group at or ahead of this one: the next
@@ -279,111 +266,130 @@ def snapshot(
     leader_position = np.empty_like(lead)
     leader_position[by_pos] = lead
 
-    params = [params_by_id[e.vehicle_id] for e in entries]
+    params = [params_by_id[vid] for vid in ids]
     gain, standstill_gap, headway = np.array(
         [(p.reaction_gain, p.standstill_gap, p.headway) for p in params], dtype=float
     ).reshape(-1, 3)[vehicle].T
     gap = gain * (leader_position - position)
     return Samples(
-        vehicle_ids=tuple(e.vehicle_id for e in entries),
+        vehicle_ids=ids,
         lanes=tuple(e.lane for e in entries),
         t=times[step],
         vehicle=vehicle,
         position=position,
         speed=speed,
         accel=accel,
-        phase=phase,
-        gap=gap,
         rear_margin=gap - (standstill_gap + headway * speed),
     )
 
 
 def monitor(
-    samples: Samples,
-    protocol: CrossingProtocol,
-    params_by_id: dict[str, VehicleParams],
-) -> list[Violation]:
-    """Safety and bound checks at every sampled row; violations are data.
+    protocol: CrossingProtocol, params_by_id: dict[str, VehicleParams]
+) -> SafetyReport:
+    """Exact safety and bound checks of the registered plans; violations are data.
 
-    They come in time order.  Within one time: each vehicle in registration
-    order (speed, then acceleration, then rear-end), then the pairs of
-    conflicting movements that co-occupy the merging zone.
+    Bounds: each trajectory's extrema, one violation per vehicle and kind,
+    at the worst.  Rear-end: each vehicle behind every earlier-registered
+    vehicle on its lane whose window overlaps its own, one violation per
+    pair, at its least margin.  Lateral: each conflicting pair whose zone
+    occupancies overlap, at the later zone entry.
     """
-    ids = samples.vehicle_ids
+    entries = protocol.entries
+    ids = [e.vehicle_id for e in entries]
     params = [params_by_id[vid] for vid in ids]
-    bounds = np.array(
-        [(p.v_min, p.v_max, p.u_min, p.u_max) for p in params], dtype=float
-    ).reshape(-1, 4)[samples.vehicle]
-    speed, accel, margin = samples.speed, samples.accel, samples.rear_margin
-    checks = (
-        (
-            "speed_bound",
-            ~((bounds[:, 0] <= speed) & (speed <= bounds[:, 1])),
-            speed,
-            lambda p, x: f"speed {x:.6f} outside [{p.v_min}, {p.v_max}]",
-        ),
-        (
-            "accel_bound",
-            ~((bounds[:, 2] <= accel) & (accel <= bounds[:, 3])),
-            accel,
-            lambda p, x: f"accel {x:.6f} outside [{p.u_min}, {p.u_max}]",
-        ),
-        (
-            "rear_end",
-            margin < 0.0,
-            margin,
-            lambda p, x: f"rear-end margin {x:.6f} m negative",
-        ),
-    )
-    found: list[tuple[tuple, Violation]] = []
-    for rank, (kind, bad, values, message) in enumerate(checks):
-        rows = np.flatnonzero(bad)
-        for row, t, x, i in zip(
-            rows.tolist(),
-            samples.t[rows].tolist(),
-            values[rows].tolist(),
-            samples.vehicle[rows].tolist(),
+    violations: list[Violation] = []
+    for e, vid, p in zip(entries, ids, params):
+        tr = e.trajectory
+        for kind, low, high, extrema, column in (
+            ("speed", p.v_min, p.v_max, tr.extrema[:2], 1),
+            ("accel", p.u_min, p.u_max, tr.extrema[2:], 2),
         ):
-            found.append(
-                ((t, 0, row, rank), Violation(t, kind, (ids[i],), x, message(params[i], x)))
-            )
+            worst = max(extrema, key=lambda x: max(low - x, x - high))
+            if not low <= worst <= high:
+                # An extremum lies at an end of the window or at the speed vertex.
+                taus = (0.0, tr.duration, _speed_vertex(tr.c3, tr.c2, tr.duration))
+                tau = next(t for t in taus if t is not None and tr._pva(t)[column] == worst)
+                message = f"{kind} {worst:.6f} outside [{low}, {high}]"
+                violations.append(Violation(tr.t0 + tau, f"{kind}_bound", (vid,), worst, message))
+    rear = _rear_end_margins(entries, ids, params, violations)
+    lateral = _lateral_margins(protocol, ids, violations)
+    violations.sort(key=lambda v: v.time)
+    return SafetyReport(violations, rear, lateral)
 
-    # Lateral: conflicting movements may not co-occupy the merging zone.
-    # Rows of one time are adjacent, so the pairs at one time are the rows d
-    # apart, for d = 1, 2, ... until no two rows d apart share a time.
-    zone = np.flatnonzero(samples.phase == Samples.PHASES.index(VehiclePhase.MERGING_ZONE))
-    firsts, seconds = [], []
-    for d in range(1, len(zone)):
-        a, b = zone[:-d], zone[d:]
-        together = samples.t[a] == samples.t[b]
-        if not together.any():
-            break
-        firsts.append(a[together])
-        seconds.append(b[together])
-    if firsts:
-        a = np.concatenate(firsts)
-        b = np.concatenate(seconds)
-        pairs = list(zip(samples.vehicle[a].tolist(), samples.vehicle[b].tolist()))
-        movements = [protocol.get(vid).movement for vid in ids]
-        conflicting = {
-            (i, j): conflicts(movements[i], movements[j]) for i, j in dict.fromkeys(pairs)
-        }
-        for t, row_a, row_b, (i, j) in zip(samples.t[a].tolist(), a.tolist(), b.tolist(), pairs):
-            if conflicting[i, j]:
-                found.append(
-                    (
-                        (t, 1, row_a, row_b),
-                        Violation(
-                            t,
-                            "lateral",
-                            (ids[i], ids[j]),
-                            0.0,
-                            "conflicting movements co-occupy the merging zone",
-                        ),
-                    )
-                )
-    found.sort(key=lambda item: item[0])
-    return [violation for _, violation in found]
+
+def _rear_end_margins(entries, ids, params, violations) -> dict[str, Optional[float]]:
+    """Each follower's least margin behind its leaders; a violation per pair below 0."""
+    live: dict[LaneId, list[int]] = {}  # per lane, the windows not ended yet
+    pairs = []  # (follower, leader), found in order of window start
+    for i in sorted(range(len(entries)), key=lambda i: entries[i].t0):
+        lane, t0 = entries[i].lane, entries[i].t0
+        live[lane] = [k for k in live.get(lane, ()) if entries[k].tf >= t0] + [i]
+        pairs += [(max(i, k), min(i, k)) for k in live[lane][:-1]]
+    follower, leader = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    tr = np.array([
+        (t.c3, t.c2, t.c1, t.c0, t.t0, t.tf, p.reaction_gain, p.standstill_gap, p.headway)
+        for t, p in zip((e.trajectory for e in entries), params)
+    ]).reshape(-1, 9)
+    xi, gap0, rho = tr[follower, 6:].T
+    start = np.maximum(tr[follower, 4], tr[leader, 4])
+    span = np.minimum(tr[follower, 5], tr[leader, 5]) - start
+
+    def recentred(k):  # the coefficients of cubics `k` in s = t - start
+        c3, c2, c1, c0, d = *tr[k, :4].T, start - tr[k, 4]
+        b0 = ((c3 * d + c2) * d + c1) * d + c0
+        return c3, 3 * c3 * d + c2, (3 * c3 * d + 2 * c2) * d + c1, b0
+
+    (f3, f2, f1, f0), (l3, l2, l1, l0) = recentred(follower), recentred(leader)
+    # The margin is a cubic in s: least at 0, span or a root of a*s^2 + b*s + c.
+    a, b, c = 3 * xi * (l3 - f3), 2 * (xi * (l2 - f2) - 3 * rho * f3), xi * (l1 - f1) - 2 * rho * f2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        s = np.vstack([0 * span, span, np.clip(np.nan_to_num([q / a, c / q]), 0, span)])
+    gap = xi * ((((l3 * s + l2) * s + l1) * s + l0) - (((f3 * s + f2) * s + f1) * s + f0))
+    margin = gap - (gap0 + rho * ((3.0 * f3 * s + 2.0 * f2) * s + f1))
+    at = np.argmin(margin, axis=0), np.arange(len(pairs))
+    least, when = margin[at].tolist(), (start + s[at]).tolist()
+    margins = dict.fromkeys(ids)
+    margins.update((ids[i], m) for m, i in sorted(zip(least, follower), reverse=True))
+    for i, k, value, t in zip(follower, leader, least, when):
+        if value < 0.0:
+            message = f"rear-end margin {value:.6f} m negative"
+            violations.append(Violation(t, "rear_end", (ids[i], ids[k]), value, message))
+    return margins
+
+
+def _lateral_margins(protocol, ids, violations) -> dict[str, Optional[float]]:
+    """Each vehicle's least `lateral_separation`; a violation per overlapping pair."""
+    entries = protocol.entries
+    occupancy = [protocol.merging_occupancy(e) for e in entries]
+    times = np.array(occupancy, dtype=float).reshape(-1, 2)
+    margins = dict.fromkeys(ids)
+    by_movement: dict[Movement, list[int]] = {}
+    for i, e in enumerate(entries):
+        by_movement.setdefault(e.movement, []).append(i)
+    for movement, own in by_movement.items():
+        other = [k for m, ks in by_movement.items() if conflicts(movement, m) for k in ks]
+        # From an occupancy with an earlier midpoint the separation is t_in less
+        # its t_out, from a later one its t_in less t_out: so in midpoint order,
+        # the latest t_out before and the earliest t_in after.  A float sum below
+        # another is below it exactly; equal float midpoints are checked apart.
+        other = np.array(other, dtype=np.intp)[np.argsort(times[other].sum(1), kind="stable")]
+        mid, (a_in, a_out) = times[other].sum(1), times[own].T
+        latest_out = np.r_[-np.inf, np.maximum.accumulate(times[other, 1])]
+        earliest_in = np.r_[np.minimum.accumulate(times[other[::-1], 0])[::-1], np.inf]
+        lo, hi = (np.searchsorted(mid, a_in + a_out, side) for side in ("left", "right"))
+        least = np.minimum(a_in - latest_out[lo], earliest_in[hi] - a_out).tolist()
+        for i, first, stop, value in zip(own, lo, hi, least):
+            tied = [lateral_separation(occupancy[i], occupancy[k]) for k in other[first:stop]]
+            value = min([value, *tied])
+            margins[ids[i]] = None if value == math.inf else value
+            for k in other[other < i] if value < 0.0 else ():
+                gap = lateral_separation(occupancy[k], occupancy[i])
+                if gap < 0.0:
+                    t = max(occupancy[k].t_in, occupancy[i].t_in)
+                    message = "conflicting movements co-occupy the merging zone"
+                    violations.append(Violation(t, "lateral", (ids[k], ids[i]), gap, message))
+    return margins
 
 
 # ---------------------------------------------------------------------------
@@ -478,72 +484,34 @@ def schedule(
 
 
 def run(scenario: Scenario) -> RunResult:
-    """Execute a scenario: plan each arrival, then sample, monitor, and score."""
+    """Execute a scenario: plan each arrival, then monitor, score and sample."""
     protocol, plans = schedule(scenario)
     params_by_id = {a.vehicle_id: a.params for a in scenario.arrivals}
 
     times = np.empty(0)
     if plans:
-        t_start = min(a.time for a in scenario.arrivals)
-        t_end = max(p.tf for p in plans.values())
-        k0 = int(math.floor(t_start / scenario.dt + 1e-9))
-        k1 = int(math.ceil(t_end / scenario.dt - 1e-9))
+        k0 = int(math.floor(min(a.time for a in scenario.arrivals) / scenario.dt + 1e-9))
+        k1 = int(math.ceil(max(p.tf for p in plans.values()) / scenario.dt - 1e-9))
         times = np.arange(k0, k1 + 1) * scenario.dt
     log = snapshot(protocol, times, params_by_id)
-    violations = monitor(log, protocol, params_by_id)
+    safety = monitor(protocol, params_by_id)
 
-    integration_checks = {
-        vid: integrate_dynamics(result.trajectory)
-        for vid, result in plans.items()
-    }
-    metrics = _build_metrics(scenario, protocol, plans, log)
-    return RunResult(
-        scenario=scenario,
-        metrics=metrics,
-        log=log,
-        protocol=protocol,
-        violations=violations,
-        plans=plans,
-        integration_checks=integration_checks,
-    )
+    integration_checks = {vid: integrate_dynamics(r.trajectory) for vid, r in plans.items()}
+    metrics = _build_metrics(scenario, plans, safety)
+    return RunResult(scenario, metrics, log, protocol, safety.violations, plans, integration_checks)
 
 
 def _build_metrics(
-    scenario: Scenario,
-    protocol: CrossingProtocol,
-    plans: dict[str, PlanResult],
-    log: Samples,
+    scenario: Scenario, plans: dict[str, PlanResult], safety: SafetyReport
 ) -> MetricsReport:
     per_vehicle: dict[str, VehicleMetrics] = {}
-    min_rear: dict[str, Optional[float]] = {vid: None for vid in plans}
-    led = np.flatnonzero(~np.isnan(log.rear_margin))
-    led = led[np.argsort(log.vehicle[led], kind="stable")]
-    vehicles, starts = np.unique(log.vehicle[led], return_index=True)
-    for i, rows in zip(vehicles.tolist(), np.split(led, starts[1:])):
-        # argmin takes the earliest of equal minima, so of 0.0 and -0.0 the
-        # one sampled first is reported.
-        margins = log.rear_margin[rows]
-        min_rear[log.vehicle_ids[i]] = margins[np.argmin(margins)].item()
-
-    arrivals = {a.vehicle_id: a for a in scenario.arrivals}
-    for vid, result in plans.items():
-        entry = protocol.get(vid)
-        occ = protocol.merging_occupancy(entry)
-        # Same-approach movements never conflict, so the vehicle's own
-        # occupancy is not among these.
-        lat = min(
-            (
-                lateral_separation(occ, other)
-                for other in protocol.conflicting_occupancies(entry.movement)
-            ),
-            default=None,
-        )
-        arrival = arrivals[vid]
+    for arrival in scenario.arrivals:
+        vid, result = arrival.vehicle_id, plans[arrival.vehicle_id]
         per_vehicle[vid] = VehicleMetrics(
             travel_time=result.tf - arrival.time,
             energy=result.trajectory.energy_cost(),
-            min_rear_margin=min_rear[vid],
-            min_lateral_margin=lat,
+            min_rear_margin=safety.min_rear_margin[vid],
+            min_lateral_margin=safety.min_lateral_margin[vid],
             t0=arrival.time,
             tf=result.tf,
             lane=result.lane,

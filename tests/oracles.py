@@ -9,9 +9,10 @@ float probes by the original full-scan search (which builds a trajectory
 per probe and evaluates it with verbatim copies of the original methods),
 its skips over the 1 ms grid by its previous search, which probes every
 grid point, the protocol's indexed predecessor query by a scan of every
-entry, and the run's sampled log and violations by the original per-step
-object loop, the RK4 cross-check by its original scalar step loop,
-the streamed CSV artifacts by the original whole-run writer, which formats
+entry, the run's sampled log by the original per-step object loop, whose
+sampled violations the exact monitor must all report, the RK4 cross-check
+by its original scalar step loop, the streamed CSV artifacts by the
+original whole-run writer, which formats
 every cell at once and pivots each plot through a times x vehicles grid,
 a layout's route records and an arrival's planning bounds by the methods
 that computed them on every call, and a search context's lane leader and
@@ -26,6 +27,7 @@ import io
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -48,7 +50,6 @@ from cavcross import (
     ProtocolEntry,
     TurnKind,
     VehicleParams,
-    VehiclePhase,
     Violation,
     conflicts,
     feasible_tf,
@@ -922,6 +923,15 @@ def plan_scan(
 # Per-step sampling and monitoring: the simulation's original object loop,
 # kept as the reference for its columnar replacement.
 # ---------------------------------------------------------------------------
+
+class VehiclePhase(str, Enum):
+    """Where along its path a sampled vehicle is: the per-step monitor
+    checks lateral safety only between vehicles in the merging zone."""
+
+    APPROACH = "approach"
+    MERGING_ZONE = "merging_zone"
+    EXIT = "exit"
+
 
 @dataclass(frozen=True)
 class VehicleState:

@@ -1,5 +1,7 @@
-"""The summary that `tools/bench_pairs.py` writes into the BENCH_*.json records."""
+"""The summary that `tools/bench_pairs.py` writes into the BENCH_*.json records, and
+its command line."""
 
+import json
 import sys
 
 import pytest
@@ -87,3 +89,10 @@ def test_seed_ranges():
 def test_unpaired_runs_rejected():
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0, 2.0], [1.0])
+
+
+def test_default_workloads_are_the_benchmarks():
+    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["workloads"]
+    args = bench_pairs.parse_args(["HEAD~1", "HEAD"])
+    assert args.workloads == [w["name"] for w in declared]
+    assert bench_pairs.parse_args(["A", "B", "--workloads", "reference"]).workloads == ["reference"]

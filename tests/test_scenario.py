@@ -5,6 +5,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -488,3 +489,9 @@ class TestGenerator:
         with pytest.raises(ValueError, match="n_vehicles must be non-negative"):
             generate_random_scenario(seed=1, n_vehicles=-3)
         assert generate_random_scenario(seed=1, n_vehicles=0).arrivals == ()
+
+    @pytest.mark.parametrize("n_vehicles", [2.5, 3.0, True, "4", None])
+    def test_non_integer_vehicle_count_named(self, n_vehicles):
+        with pytest.raises(ValueError, match="n_vehicles must be an integer"):
+            generate_random_scenario(seed=1, n_vehicles=n_vehicles)
+        assert len(generate_random_scenario(seed=1, n_vehicles=np.int64(3)).arrivals) == 3

@@ -129,15 +129,24 @@ def run_once(commit: str, workload: str, seed: int, seconds: float, workdir: Pat
         shutil.rmtree(tree, ignore_errors=True)
 
 
-def main() -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The command line; `--workloads` defaults to every workload that
+    BENCHMARK.json declares."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workloads", nargs="+", default=["dense_plan", "reference"])
+    parser.add_argument(
+        "--workloads", nargs="+", default=[w["name"] for w in benchmark["workloads"]]
+    )
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--out", type=Path)
-    args = parser.parse_args()
+    return parser.parse_args(argv)
+
+
+def main() -> int:
+    args = parse_args()
 
     commits = {
         side: subprocess.run(
