@@ -12,12 +12,11 @@ grid point, the protocol's indexed predecessor query by a scan of every
 entry, the run's sampled log by the original per-step object loop, whose
 sampled violations the exact monitor must all report, the RK4 cross-check
 by its original scalar step loop, the streamed CSV artifacts by the
-original whole-run writer, which formats
-every cell at once and pivots each plot through a times x vehicles grid,
-a layout's route records and an arrival's planning bounds by the methods
-that computed them on every call, and a search context's lane leader and
-live conflicting occupancies by the gather each plan made before
-registration filed them.
+original whole-run writer, which formats every cell at once and pivots
+each plot through a times x vehicles grid, a layout's route records and
+an arrival's planning bounds by the methods that computed them on every
+call, and a search context's lane leader and live conflicting occupancies
+by the gather each plan made before registration filed them.
 """
 
 from __future__ import annotations
@@ -1074,16 +1073,14 @@ def per_step_log(
     protocol: CrossingProtocol,
     params_by_id: dict[str, VehicleParams],
     times,
-) -> tuple[list[LogRow], list[Violation], list[VehicleState]]:
-    """The run's original sampling loop over `times`: log rows, violations
-    and the sampled states, all in time then registration order."""
+) -> tuple[list[LogRow], list[Violation]]:
+    """The run's original sampling loop over `times`: log rows and
+    violations, both in time then registration order."""
     log: list[LogRow] = []
     violations: list[Violation] = []
-    all_states: list[VehicleState] = []
     for t in times:
         states = snapshot(protocol, t, params_by_id)
         violations.extend(monitor(states, protocol, params_by_id, t))
-        all_states.extend(states)
         for state in states:
             params = params_by_id[state.vehicle_id]
             margin = (
@@ -1102,7 +1099,7 @@ def per_step_log(
                     rear_margin=margin,
                 )
             )
-    return log, violations, all_states
+    return log, violations
 
 
 def integrate_dynamics_loop(

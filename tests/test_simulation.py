@@ -317,7 +317,7 @@ class TestMonitor:
                 oracles.make_entry(vid, traj, movement, layout.allowed_lanes(movement)[0])
             )
         params_by_id = {"we": params, "ns": params}
-        _, sampled, _ = oracles.per_step_log(protocol, params_by_id, np.arange(3000) * 0.01)
+        _, sampled = oracles.per_step_log(protocol, params_by_id, np.arange(3000) * 0.01)
         assert sampled == []
         (found,) = monitor(protocol, params_by_id).violations
         assert (found.kind, found.vehicle_ids) == ("lateral", ("we", "ns"))
@@ -469,7 +469,7 @@ class TestColumnarMatchesPerStepOracle:
     against that loop's sampled checks."""
 
     def check(self, protocol, params_by_id, times):
-        rows, violations, _ = oracles.per_step_log(protocol, params_by_id, times.tolist())
+        rows, violations = oracles.per_step_log(protocol, params_by_id, times.tolist())
         samples = snapshot(protocol, times, params_by_id)
         assert len(samples) == len(rows)
         assert [samples.vehicle_ids[i] for i in samples.vehicle] == [r.vehicle_id for r in rows]
