@@ -272,11 +272,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     protocol, plans = schedule(scenario, until=target.vehicle_id)
     result = plans[target.vehicle_id]
-    # The conflict set depends only on the movement, so every lane lists the
-    # same intervals.
+    # The occupancies the planner checked, the same on every lane.
+    buffer = scenario.lateral_buffer
     rejected = [
-        [occ.t_in - scenario.lateral_buffer, occ.t_out + scenario.lateral_buffer]
-        for occ in protocol.conflicting_occupancies(target.movement)
+        [occ.t_in - buffer, occ.t_out + buffer]
+        for occ in protocol.conflicting_occupancies(target.movement, target.time - buffer)
     ]
     fit = result.trajectory.inverse_cubic_fit()
     record = {

@@ -54,6 +54,8 @@ class Movement:
     exit: Cardinal
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "origin", Cardinal(self.origin))
+        object.__setattr__(self, "exit", Cardinal(self.exit))
         if self.origin == self.exit:
             raise ValueError(
                 f"invalid movement {self.origin.value}->{self.exit.value}: "
@@ -113,17 +115,18 @@ class IntersectionLayout:
             object.__setattr__(self, "right_turn_radius", self.merging_zone_side / 2.0)
         if self.left_turn_radius is None:
             object.__setattr__(self, "left_turn_radius", self.merging_zone_side)
-        if self.control_zone_length < 0:
-            raise ValueError("control_zone_length must be non-negative")
-        if self.merging_zone_side <= 0:
-            raise ValueError("merging_zone_side must be positive")
-        if self.right_turn_radius <= 0 or self.left_turn_radius <= 0:
-            raise ValueError("turn radii must be positive")
-        if self.right_turn_radius > self.merging_zone_side + _EPS:
-            raise ValueError("right_turn_radius must not exceed merging_zone_side")
-        if self.left_turn_radius > self.merging_zone_side + _EPS:
-            raise ValueError("left_turn_radius must not exceed merging_zone_side")
-        if not 1 <= self.lanes_per_approach <= MAX_LANES_PER_APPROACH:
+        # Chained comparisons, so that NaN and infinities fail them too.
+        if not 0 <= self.control_zone_length < math.inf:
+            raise ValueError("control_zone_length must be finite and non-negative")
+        if not 0 < self.merging_zone_side < math.inf:
+            raise ValueError("merging_zone_side must be finite and positive")
+        for name in ("right_turn_radius", "left_turn_radius"):
+            if not 0 < getattr(self, name) <= self.merging_zone_side + _EPS:
+                raise ValueError(f"{name} must be positive and not exceed merging_zone_side")
+        lanes = self.lanes_per_approach
+        if isinstance(lanes, bool) or not isinstance(lanes, int):
+            raise ValueError(f"lanes_per_approach must be an integer, got {lanes!r}")
+        if not 1 <= lanes <= MAX_LANES_PER_APPROACH:
             raise ValueError(
                 f"lanes_per_approach must be between 1 and {MAX_LANES_PER_APPROACH}"
             )

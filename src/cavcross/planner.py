@@ -33,14 +33,11 @@ the lane leader's coefficients are filed at its registration, the first
 probe reuses the bounds edge's cubic, and registration takes the accepted
 probe's zone times (`PlanResult.occupancy`).
 The lateral check sees only the conflicting occupancies that the vehicle
-can still meet: every plan enters the zone at or after its arrival time, so
-an occupancy that ends (plus buffer and slack) before the arrival is
-separated from every candidate, and a running maximum of exit times lets
-the search pass over those.  The occupancies stay sorted by entry time, so
-the first one that rejects a candidate, and with it the jump target, is the
-same as over the full set, and the scan stops at the first occupancy that
-starts after the candidate has left the zone.  These skips are exact for
-finite times, the only ones an `Arrival` admits.
+can still meet (`CrossingProtocol.conflicting_occupancies` since its arrival
+less the buffer), as every plan enters the zone at or after its arrival.
+Sorted by entry time, the first one that rejects a candidate, and with it
+the jump target, is the same as over the full set, and the scan stops at the
+first one that starts after the candidate has left the zone.
 """
 
 from __future__ import annotations
@@ -51,17 +48,15 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .geometry import IntersectionLayout, LaneId, Movement
-from .protocol import CrossingProtocol, Occupancy, ProtocolEntry
+from .protocol import SAFETY_SLACK, CrossingProtocol, Occupancy, ProtocolEntry
 from .trajectory import CubicTrajectory, VehicleParams, solve_boundary
 from .trajectory import _absolute_coefficients, _boundary_cubic, _cubic_extrema
 from .trajectory import _invert, _least_horizon_behind, _require_monotone
 
-# Margin by which planned extrema stay inside the hard bounds, and the
-# minimum slack demanded from the safety constraints.  The bound margin keeps
-# "no constraint becomes active" true of executed plans; the safety slack keeps
-# the monitor's own exact arithmetic from a float-level sign flip at the optimum.
+# Margin by which planned extrema stay inside the hard bounds, so that "no
+# constraint becomes active" holds of executed plans.  `SAFETY_SLACK` is the
+# protocol's, re-exported here.
 BOUND_MARGIN = 1e-6
-SAFETY_SLACK = 1e-9
 
 DEFAULT_HORIZON_CAP = 120.0
 DEFAULT_RESOLUTION = 1e-3
@@ -381,20 +376,9 @@ def _make_context(
 ) -> _SearchContext:
     route = layout.route(arrival.movement)
     lead = protocol.lane_leader(lane, arrival.time)
-    # Every candidate enters the zone at t_in >= t0, so an occupancy dropped
-    # here passes the check's `t_in - buffer > t_out + slack` for all of them.
-    # Per conflicting movement, the walk back from the newest occupancy stops
-    # where the running maximum exit time (plus slack) falls short of `earliest`.
-    earliest = arrival.time - lateral_buffer
-    conflicting: list[Occupancy] = []
-    for items, latest in protocol.conflicting_filed(arrival.movement):
-        i = len(items)
-        while i and not earliest > latest[i - 1] + SAFETY_SLACK:
-            i -= 1
-            if not earliest > items[i].t_out + SAFETY_SLACK:
-                conflicting.append(items[i])
-    if len(conflicting) > 1:
-        conflicting.sort()
+    # Every candidate enters the zone at t_in >= t0, so an occupancy left out
+    # passes the check's `t_in - buffer > t_out + slack` for all of them.
+    conflicting = protocol.conflicting_occupancies(arrival.movement, arrival.time - lateral_buffer)
     return _SearchContext(
         arrival, route.total_distance, route.window.entry, route.window.exit, arrival.caps,
         None if lead is None else lead[1], conflicting, lateral_buffer, min_zone_entry,

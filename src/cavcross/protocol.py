@@ -25,6 +25,11 @@ from .geometry import ALL_MOVEMENTS, Cardinal, IntersectionLayout, LaneId, Movem
 from .trajectory import CubicTrajectory
 
 
+# The minimum slack demanded from the safety constraints: it keeps the
+# monitor's own exact arithmetic from a float-level sign flip at the optimum.
+SAFETY_SLACK = 1e-9
+
+
 class DuplicateVehicleError(ValueError):
     """A vehicle id was registered twice."""
 
@@ -171,17 +176,20 @@ class CrossingProtocol:
                 f"vehicle {entry.vehicle_id!r} is not registered with this protocol"
             ) from None
 
-    def conflicting_filed(self, movement: Movement) -> tuple[Filed, ...]:
-        """The filed occupancies of each movement that conflicts with
-        `movement`, keyed on their zone exit times."""
-        return self._conflicting[movement]
-
-    def conflicting_occupancies(self, movement: Movement) -> list[Occupancy]:
-        """Merging occupancies of every entry whose movement conflicts with
-        `movement`, sorted by entry then exit time."""
-        return sorted(
-            occ for filed in self.conflicting_filed(movement) for occ in filed.items
-        )
+    def conflicting_occupancies(self, movement: Movement, since: float) -> list[Occupancy]:
+        """Merging occupancies of the entries whose movement conflicts with
+        `movement` and that do not end (plus `SAFETY_SLACK`) before `since`,
+        sorted by entry then exit time.  Per conflicting movement, the walk
+        back from the newest occupancy stops where the running maximum exit
+        time (plus slack) falls short of `since`."""
+        live: list[Occupancy] = []
+        for items, latest in self._conflicting[movement]:
+            i = len(items)
+            while i and not since > latest[i - 1] + SAFETY_SLACK:
+                i -= 1
+                if not since > items[i].t_out + SAFETY_SLACK:
+                    live.append(items[i])
+        return sorted(live)
 
     def to_records(self) -> list[dict]:
         """Serializable dump: one record per entry, in registration order."""

@@ -45,10 +45,13 @@ class Scenario:
     def __post_init__(self) -> None:
         # A plain "fifo" string would otherwise be planned as optimal.
         object.__setattr__(self, "policy", Policy(self.policy))
-        if not math.isfinite(self.dt):
-            raise ValueError("dt must be finite")
+        if isinstance(self.dt, bool) or not math.isfinite(self.dt):
+            raise ValueError(f"dt must be a finite number, got {self.dt!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        seed = self.seed
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         _check_options(self.lateral_buffer, self.horizon_cap)
         seen: set[str] = set()
         prev = -math.inf
@@ -67,8 +70,9 @@ class Samples:
 
     One row per (grid time, active vehicle), ordered by time, then by
     registration order.  `vehicle` indexes `vehicle_ids` and `lanes`.
-    `rear_margin` is the reaction-scaled distance to the nearest leader less
-    the safe distance, NaN for a vehicle without a leader.
+    `rear_margin` is the least reaction-scaled distance to an active
+    earlier-registered vehicle on the lane (`_rear_end_pairs`, as the monitor
+    pairs them) less the safe distance, NaN where there is none.
     """
 
     COLUMNS = ("t", "vehicle", "position", "speed", "accel", "rear_margin")
@@ -217,21 +221,24 @@ def snapshot(
 
     A vehicle has a row at t exactly when t0 <= t <= tf, as in
     `CrossingProtocol.active_entries`; each cubic is evaluated with the
-    clamping of tau and the Horner order of `CubicTrajectory.eval`.
+    clamping of tau and the Horner order of `CubicTrajectory.eval`.  A row's
+    rear margin is the least behind its leaders of `_rear_end_pairs`.
     """
     times = np.asarray(times)
     entries = protocol.entries
-    ids = tuple(e.vehicle_id for e in entries)
+
+    def runs(first, count):  # the ranges [first, first + count), concatenated
+        return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+
     # Each vehicle's rows are one run of grid steps.  Rows are numbered by
     # step, then registration order (a stable sort of the vehicle-by-vehicle
     # layout); `row_of` maps the vehicle-by-vehicle layout to that order.
     lo = np.searchsorted(times, [e.t0 for e in entries], side="left")
     hi = np.searchsorted(times, [e.tf for e in entries], side="right")
     counts = np.maximum(hi - lo, 0)
-    vehicle = np.repeat(np.arange(len(entries)), counts)
-    step = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    step = runs(lo, counts)
     order = np.argsort(step, kind="stable")
-    step, vehicle = step[order], vehicle[order]
+    step, vehicle = step[order], np.repeat(np.arange(len(entries)), counts)[order]
     row_of = np.empty_like(order)
     row_of[order] = np.arange(len(order))
 
@@ -248,38 +255,29 @@ def snapshot(
         speed[rows] = (3.0 * tr.c3 * tau + 2.0 * tr.c2) * tau + tr.c1
         accel[rows] = 6.0 * tr.c3 * tau + 2.0 * tr.c2
 
-    # Rear-end followers share an approach and a lane.  The leader is the
-    # nearest other vehicle of that group at or ahead of this one: the next
-    # in position order, or an equal-position one before it.
-    groups: dict[tuple, int] = {}
-    group = np.array(
-        [groups.setdefault((e.movement.origin, e.lane), len(groups)) for e in entries],
-        dtype=np.intp,
-    )[vehicle]
-    by_pos = np.lexsort((position, group, step))
-    ranked = position[by_pos]
-    same = (step[by_pos][1:] == step[by_pos][:-1]) & (group[by_pos][1:] == group[by_pos][:-1])
-    lead = np.full(len(ranked), np.nan)
-    lead[:-1] = np.where(same, ranked[1:], np.nan)
-    tied = np.flatnonzero(same & (ranked[1:] == ranked[:-1])) + 1
-    lead[tied] = ranked[tied]
-    leader_position = np.empty_like(lead)
-    leader_position[by_pos] = lead
-
-    params = [params_by_id[vid] for vid in ids]
+    # The follower's and the leader's rows at each step of a pair's shared run.
+    follower, leader = _rear_end_pairs(entries)
+    start = np.maximum(lo[follower], lo[leader])
+    shared = np.maximum(np.minimum(hi[follower], hi[leader]) - start, 0)
+    before = np.cumsum(counts) - counts - lo  # a step's vehicle-by-vehicle index, less the step
+    behind = row_of[runs(before[follower] + start, shared)]
+    ahead = row_of[runs(before[leader] + start, shared)]
     gain, standstill_gap, headway = np.array(
-        [(p.reaction_gain, p.standstill_gap, p.headway) for p in params], dtype=float
-    ).reshape(-1, 3)[vehicle].T
-    gap = gain * (leader_position - position)
+        [(p.reaction_gain, p.standstill_gap, p.headway)
+         for p in (params_by_id[e.vehicle_id] for e in entries)], dtype=float
+    ).reshape(-1, 3)[vehicle[behind]].T
+    gap = gain * (position[ahead] - position[behind])
+    rear_margin = np.full(len(order), np.nan)
+    np.fmin.at(rear_margin, behind, gap - (standstill_gap + headway * speed[behind]))
     return Samples(
-        vehicle_ids=ids,
+        vehicle_ids=tuple(e.vehicle_id for e in entries),
         lanes=tuple(e.lane for e in entries),
         t=times[step],
         vehicle=vehicle,
         position=position,
         speed=speed,
         accel=accel,
-        rear_margin=gap - (standstill_gap + headway * speed),
+        rear_margin=rear_margin,
     )
 
 
@@ -317,15 +315,22 @@ def monitor(
     return SafetyReport(violations, rear, lateral)
 
 
-def _rear_end_margins(entries, ids, params, violations) -> dict[str, Optional[float]]:
-    """Each follower's least margin behind its leaders; a violation per pair below 0."""
+def _rear_end_pairs(entries) -> np.ndarray:
+    """The (follower, leader) indices of rear-end safety, as two rows: each
+    vehicle and every earlier-registered vehicle on its lane whose window
+    overlaps its own, found in order of window start."""
     live: dict[LaneId, list[int]] = {}  # per lane, the windows not ended yet
-    pairs = []  # (follower, leader), found in order of window start
+    pairs = []
     for i in sorted(range(len(entries)), key=lambda i: entries[i].t0):
         lane, t0 = entries[i].lane, entries[i].t0
         live[lane] = [k for k in live.get(lane, ()) if entries[k].tf >= t0] + [i]
         pairs += [(max(i, k), min(i, k)) for k in live[lane][:-1]]
-    follower, leader = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
+def _rear_end_margins(entries, ids, params, violations) -> dict[str, Optional[float]]:
+    """Each follower's least margin behind its leaders; a violation per pair below 0."""
+    follower, leader = _rear_end_pairs(entries)
     tr = np.array([
         (t.c3, t.c2, t.c1, t.c0, t.t0, t.tf, p.reaction_gain, p.standstill_gap, p.headway)
         for t, p in zip((e.trajectory for e in entries), params)
@@ -347,7 +352,7 @@ def _rear_end_margins(entries, ids, params, violations) -> dict[str, Optional[fl
         s = np.vstack([0 * span, span, np.clip(np.nan_to_num([q / a, c / q]), 0, span)])
     gap = xi * ((((l3 * s + l2) * s + l1) * s + l0) - (((f3 * s + f2) * s + f1) * s + f0))
     margin = gap - (gap0 + rho * ((3.0 * f3 * s + 2.0 * f2) * s + f1))
-    at = np.argmin(margin, axis=0), np.arange(len(pairs))
+    at = np.argmin(margin, axis=0), np.arange(len(follower))
     least, when = margin[at].tolist(), (start + s[at]).tolist()
     margins = dict.fromkeys(ids)
     margins.update((ids[i], m) for m, i in sorted(zip(least, follower), reverse=True))

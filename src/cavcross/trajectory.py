@@ -51,16 +51,14 @@ class VehicleParams:
     reaction_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.u_min < 0 < self.u_max:
-            raise ValueError("accel bounds must satisfy u_min < 0 < u_max")
-        if not 0 < self.v_min < self.v_max:
-            raise ValueError("speed bounds must satisfy 0 < v_min < v_max")
-        if self.headway <= 0:
-            raise ValueError("headway must be positive")
-        if self.standstill_gap <= 0:
-            raise ValueError("standstill_gap must be positive")
-        if self.reaction_gain <= 0:
-            raise ValueError("reaction_gain must be positive")
+        # Chained comparisons, so that NaN and infinities fail them too.
+        if not -math.inf < self.u_min < 0 < self.u_max < math.inf:
+            raise ValueError("accel bounds must be finite and satisfy u_min < 0 < u_max")
+        if not 0 < self.v_min < self.v_max < math.inf:
+            raise ValueError("speed bounds must be finite and satisfy 0 < v_min < v_max")
+        for name in ("headway", "standstill_gap", "reaction_gain"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     def safe_distance(self, speed: float) -> float:
         """Minimum allowed gap to the vehicle ahead at a given own speed."""

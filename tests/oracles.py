@@ -10,8 +10,10 @@ per probe and evaluates it with verbatim copies of the original methods),
 its skips over the 1 ms grid by its previous search, which probes every
 grid point, the protocol's indexed predecessor query by a scan of every
 entry, the run's sampled log by the original per-step object loop, whose
-sampled violations the exact monitor must all report, the RK4 cross-check
-by its original scalar step loop, the streamed CSV artifacts by the
+sampled violations the exact monitor must all report, and its rear margins
+by a per-row scan of the earlier-registered vehicles on each lane, the
+protocol's live conflicting occupancies by a scan of every entry, the RK4
+cross-check by its original scalar step loop, the streamed CSV artifacts by the
 original whole-run writer, which formats every cell at once and pivots
 each plot through a times x vehicles grid, a layout's route records and
 an arrival's planning bounds by the methods that computed them on every
@@ -367,10 +369,11 @@ def make_context_reference(
     # Every candidate enters the zone at t_in >= t0, so an occupancy dropped
     # here passes the check's `t_in - buffer > t_out + slack` for all of them.
     # Per conflicting movement, the occupancies before the first whose running
-    # maximum exit time (plus slack) reaches `earliest` are all dropped.
+    # maximum exit time (plus slack) reaches `earliest` are all dropped.  The
+    # protocol's files of the conflicting movements are read directly.
     earliest = request.time - lateral_buffer
     conflicting: list[Occupancy] = []
-    for filed in protocol.conflicting_filed(request.movement):
+    for filed in protocol._conflicting[request.movement]:
         start = bisect_left(filed.latest, earliest, key=lambda t_out: t_out + SAFETY_SLACK)
         conflicting += [o for o in filed.items[start:] if not earliest > o.t_out + SAFETY_SLACK]
     conflicting.sort()
@@ -1100,6 +1103,31 @@ def per_step_log(
                 )
             )
     return log, violations
+
+
+def rear_margins_per_row(
+    protocol: CrossingProtocol, params_by_id: dict[str, VehicleParams], times
+) -> list[Optional[float]]:
+    """Each row's rear margin, rows in time then registration order as in
+    `per_step_log`: the least, over the earlier-registered vehicles on its
+    lane that are active at that time, of the reaction-scaled gap to it less
+    the safe distance, by `CubicTrajectory.eval`; None where there is none."""
+    margins: list[Optional[float]] = []
+    for t in times:
+        active = protocol.active_entries(t)
+        for i, entry in enumerate(active):
+            own = entry.trajectory.eval(t)
+            params = params_by_id[entry.vehicle_id]
+            margins.append(min(
+                (
+                    params.reaction_gain * (leader.trajectory.eval(t).position - own.position)
+                    - params.safe_distance(own.speed)
+                    for leader in active[:i]
+                    if leader.lane == entry.lane
+                ),
+                default=None,
+            ))
+    return margins
 
 
 def integrate_dynamics_loop(

@@ -2,6 +2,7 @@
 its command line."""
 
 import json
+import subprocess
 import sys
 
 import pytest
@@ -96,3 +97,52 @@ def test_default_workloads_are_the_benchmarks():
     args = bench_pairs.parse_args(["HEAD~1", "HEAD"])
     assert args.workloads == [w["name"] for w in declared]
     assert bench_pairs.parse_args(["A", "B", "--workloads", "reference"]).workloads == ["reference"]
+
+
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        check=True, stdout=subprocess.DEVNULL,
+    )
+
+
+@pytest.fixture
+def two_commits(tmp_path, monkeypatch):
+    """A repository whose parent commit has 3 package lines and whose head
+    has 5: files elsewhere, in a subpackage or not ending in .py count for
+    nothing, and a last line without a newline counts for nothing too."""
+    repo = tmp_path / "repo"
+    (repo / "src" / "cavcross" / "sub").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text((REPO_ROOT / "BENCHMARK.json").read_text())
+    (repo / "src" / "cavcross" / "a.py").write_text("x = 1\ny = 2\n\n")
+    (repo / "src" / "other.py").write_text("z = 3\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "src" / "cavcross" / "b.py").write_text("u = 4\nv = 5\nw = 6")
+    (repo / "src" / "cavcross" / "sub" / "c.py").write_text("c = 7\n")
+    (repo / "src" / "cavcross" / "notes.txt").write_text("not code\n")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "change")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    return repo
+
+
+def test_src_lines_counts_the_package_modules(two_commits):
+    assert bench_pairs.src_lines("HEAD~1") == 3
+    assert bench_pairs.src_lines("HEAD") == 5
+
+
+def test_record_holds_each_sides_src_lines(two_commits, tmp_path, monkeypatch):
+    metrics = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def fake_run(commit, workload, seed, seconds, workdir):
+        values = {m["name"]: {"value": 1.0} for m in metrics}
+        return {"metrics": values, "failed": 0, "attempted": 1, "correct": True}
+
+    out = tmp_path / "BENCH_x.json"
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = ["bench_pairs.py", "HEAD~1", "HEAD", "--seeds", "1", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert bench_pairs.main() == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 5}

@@ -42,6 +42,14 @@ class TestMovement:
     def test_all_movements_has_twelve(self):
         assert len(ALL_MOVEMENTS) == 12
 
+    def test_ends_coerced_to_cardinals(self):
+        movement = Movement("W", "E")
+        assert movement == Movement(W, E) and str(movement) == "W->E"
+        assert type(movement.origin) is Cardinal and type(movement.exit) is Cardinal
+        for origin, exit_ in (("X", "E"), ("W", "east"), (None, E), (W, 5)):
+            with pytest.raises(ValueError):
+                Movement(origin, exit_)
+
 
 class TestLayoutValidation:
     def test_defaults_follow_zone_side(self):
@@ -62,6 +70,20 @@ class TestLayoutValidation:
             IntersectionLayout(control_zone_length=-1.0)
         with pytest.raises(ValueError):
             IntersectionLayout(lanes_per_approach=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["control_zone_length", "merging_zone_side", "right_turn_radius", "left_turn_radius"],
+    )
+    def test_non_finite_dimensions_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            IntersectionLayout(**{name: value})
+
+    @pytest.mark.parametrize("lanes", [True, False, 2.5, 2.0, "2", None])
+    def test_lane_count_must_be_an_integer(self, lanes):
+        with pytest.raises(ValueError, match="lanes_per_approach must be an integer"):
+            IntersectionLayout(lanes_per_approach=lanes)
 
     def test_lane_count_cap(self):
         layout = IntersectionLayout(lanes_per_approach=MAX_LANES_PER_APPROACH)

@@ -62,8 +62,8 @@ DENSE_RUN_GOLDEN = {
 # `cavcross plan --vehicle veh60` on generate_random_scenario(seed=7,
 # n_vehicles=60, mean_gap=3.0), saved with each policy.
 PLAN_GOLDEN = {
-    "optimal": "52fb34f88ec1af93d38923d2a384bed79640a5665a9cf8ae6c56f4ef1049cf6d",
-    "fifo": "8c3f83a0899ab1dcee9db5834de39b1701e77153483d859fc05805759fdaeb52",
+    "optimal": "af89268667ea632ee5a862e5a2aa0561b5b6a4c046f3b735ad123275abe550c2",
+    "fifo": "af89268667ea632ee5a862e5a2aa0561b5b6a4c046f3b735ad123275abe550c2",
 }
 
 # `schedule` on generate_random_scenario(seed=7, n_vehicles=300,

@@ -992,7 +992,7 @@ class TestLiveOccupancies:
                 )
                 assert ctx.conflicting == [
                     occ
-                    for occ in protocol.conflicting_occupancies(movement)
+                    for occ in oracles.conflicting_occupancies_scan(protocol, movement)
                     if not earliest > occ.t_out + SAFETY_SLACK
                 ]
 

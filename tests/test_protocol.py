@@ -15,6 +15,7 @@ from cavcross import (
     schedule,
     solve_boundary,
 )
+from cavcross.protocol import SAFETY_SLACK
 
 import oracles
 
@@ -210,12 +211,15 @@ class TestConflictingOccupancies:
         protocol.register(constant_speed_entry("ns", lane_ns, Movement(N, S), t0=3.0))
         protocol.register(constant_speed_entry("early_we", lane_we, Movement(W, E), t0=0.0))
         occ = {e.vehicle_id: protocol.merging_occupancy(e) for e in protocol}
-        assert protocol.conflicting_occupancies(Movement(N, S)) == [
+        assert protocol.conflicting_occupancies(Movement(N, S), -math.inf) == [
             occ["early_we"],
             occ["late_we"],
         ]
-        assert protocol.conflicting_occupancies(Movement(W, E)) == [occ["ns"]]
-        assert CrossingProtocol(layout).conflicting_occupancies(Movement(W, E)) == []
+        assert protocol.conflicting_occupancies(Movement(W, E), -math.inf) == [occ["ns"]]
+        assert CrossingProtocol(layout).conflicting_occupancies(Movement(W, E), -math.inf) == []
+        # An occupancy that ends (plus slack) before `since` is left out.
+        since = occ["early_we"].t_out + 1.0
+        assert protocol.conflicting_occupancies(Movement(N, S), since) == [occ["late_we"]]
 
     @pytest.mark.parametrize("lanes", [1, 2])
     @pytest.mark.parametrize("seed", [0, 5, 12])
@@ -230,8 +234,36 @@ class TestConflictingOccupancies:
         assert len(protocol) == 30
         for movement in ALL_MOVEMENTS:
             assert protocol.conflicting_occupancies(
-                movement
+                movement, -math.inf
             ) == oracles.conflicting_occupancies_scan(protocol, movement)
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_vehicles=st.integers(1, 40),
+        mean_gap=st.floats(1.5, 4.0),
+        lanes=st.integers(1, 3),
+        drawn=st.lists(st.floats(-20.0, 250.0), max_size=6),
+    )
+    def test_live_query_equals_filtered_scan(self, seed, n_vehicles, mean_gap, lanes, drawn):
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=n_vehicles,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            mean_gap=mean_gap,
+        )
+        protocol = oracles.admitted_protocol(scenario)
+        edges = []
+        for entry in protocol:
+            t_out = protocol.merging_occupancy(entry).t_out
+            edge = t_out + SAFETY_SLACK
+            edges += [t_out - SAFETY_SLACK, t_out, edge, math.nextafter(edge, math.inf)]
+        for movement in ALL_MOVEMENTS:
+            scan = oracles.conflicting_occupancies_scan(protocol, movement)
+            for since in (-math.inf, *drawn, *edges):
+                assert protocol.conflicting_occupancies(movement, since) == [
+                    occ for occ in scan if not since > occ.t_out + SAFETY_SLACK
+                ]
 
 
 class TestLatestZoneEntry:

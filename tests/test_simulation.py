@@ -104,6 +104,16 @@ class TestScenarioValidation:
         for v0 in (params.v_min, params.v_max):
             assert Arrival("a", 0.0, WE, v0, params).v0 == v0
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"dt": True}, {"seed": 1.5}, {"seed": True}, {"seed": "3"}],
+        ids=["bool_dt", "float_seed", "bool_seed", "string_seed"],
+    )
+    def test_non_numeric_dt_and_seed_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="dt|seed"):
+            make_scenario([("a", 0.0, WE, 10.0)], **kwargs)
+        assert make_scenario([], seed=3).seed == 3
+
     def test_policy_string_coerced_or_rejected(self):
         assert make_scenario([], policy="fifo").policy is Policy.FIFO
         with pytest.raises(ValueError):
@@ -414,7 +424,10 @@ class TestMonitor:
         for entry in entries:
             occ = protocol.merging_occupancy(entry)
             scanned = min(
-                (lateral_separation(occ, o) for o in protocol.conflicting_occupancies(entry.movement)),
+                (
+                    lateral_separation(occ, o)
+                    for o in oracles.conflicting_occupancies_scan(protocol, entry.movement)
+                ),
                 default=None,
             )
             assert report.min_lateral_margin[entry.vehicle_id] == scanned
@@ -465,8 +478,9 @@ def assert_covers(exact, sampled, params_by_id):
 
 class TestColumnarMatchesPerStepOracle:
     """`snapshot` against the original per-step object loop
-    (`oracles.per_step_log`) on the same grid, and the exact `monitor`
-    against that loop's sampled checks."""
+    (`oracles.per_step_log`) on the same grid, its rear margins against
+    `oracles.rear_margins_per_row`, and the exact `monitor` against that
+    loop's sampled checks."""
 
     def check(self, protocol, params_by_id, times):
         rows, violations = oracles.per_step_log(protocol, params_by_id, times.tolist())
@@ -476,7 +490,8 @@ class TestColumnarMatchesPerStepOracle:
         assert [samples.lanes[i] for i in samples.vehicle] == [r.lane for r in rows]
         for column in ("t", "position", "speed", "accel"):
             assert_bit_equal(getattr(samples, column), [getattr(r, column) for r in rows])
-        assert_bit_equal(samples.rear_margin, _optional(r.rear_margin for r in rows))
+        margins = oracles.rear_margins_per_row(protocol, params_by_id, times.tolist())
+        assert_bit_equal(samples.rear_margin, _optional(margins))
         found = monitor(protocol, params_by_id).violations
         for v in found:
             assert type(v.time) is float and type(v.value) is float
@@ -531,6 +546,49 @@ class TestColumnarMatchesPerStepOracle:
         params_by_id = {vid: params for vid, *_ in HAND_BUILT[name]}
         _, found = self.check(protocol, params_by_id, np.arange(2901) * 0.01)
         assert found
+
+
+class TestLogAgreesWithReport:
+    """The log reads the monitor's rear-end pairs: a vehicle with a sampled
+    rear margin has a reported least margin, and no sample lies below it."""
+
+    def check(self, protocol, params_by_id, times):
+        samples = snapshot(protocol, times, params_by_id)
+        report = monitor(protocol, params_by_id)
+        for i, vid in enumerate(samples.vehicle_ids):
+            margins = samples.rear_margin[samples.vehicle == i]
+            margins = margins[~np.isnan(margins)]
+            if len(margins):
+                assert report.min_rear_margin[vid] is not None, vid
+                assert margins.min() >= report.min_rear_margin[vid] - 1e-9, vid
+        return samples
+
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_vehicles=st.integers(2, 20),
+        mean_gap=st.floats(1.0, 3.0),
+        lanes=st.integers(1, 3),
+        policy=st.sampled_from(list(Policy)),
+    )
+    def test_drawn_streams(self, seed, n_vehicles, mean_gap, lanes, policy):
+        scenario = generate_random_scenario(
+            seed=seed,
+            n_vehicles=n_vehicles,
+            layout=IntersectionLayout(lanes_per_approach=lanes),
+            mean_gap=mean_gap,
+            policy=policy,
+        )
+        protocol = oracles.admitted_protocol(scenario)
+        params_by_id = {a.vehicle_id: a.params for a in scenario.arrivals}
+        t_end = max((e.tf for e in protocol), default=0.0)
+        self.check(protocol, params_by_id, np.arange(int(t_end / 0.01) + 2) * 0.01)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built(self, name, layout, params):
+        protocol = hand_built_protocol(layout, name)
+        params_by_id = {vid: params for vid, *_ in HAND_BUILT[name]}
+        self.check(protocol, params_by_id, np.arange(2901) * 0.01)
 
 
 RK4_STEPS = [0.003, 0.01, 0.05]

@@ -44,6 +44,16 @@ class TestVehicleParams:
         with pytest.raises(ValueError):
             VehicleParams(headway=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["u_min", "u_max", "v_min", "v_max", "headway", "standstill_gap", "reaction_gain"]
+    )
+    def test_non_finite_rejected(self, name, value):
+        # A NaN headway made both the planner's and the monitor's rear-end
+        # tests false, so a follower could be planned through its leader.
+        with pytest.raises(ValueError, match="finite"):
+            VehicleParams(**{name: value})
+
     def test_safe_distance(self):
         params = VehicleParams(headway=1.0, standstill_gap=1.5)
         assert params.safe_distance(10.0) == 11.5

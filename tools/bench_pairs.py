@@ -21,7 +21,8 @@ tenths of the pairs by a median difference larger than that range
 parent's by more than the bound, else `unresolved` if the parent's
 interquartile range is wider than the bound, unless every change run beats
 every parent run, else `none`.  Every float is rounded to 5 decimals.
-Failed and attempted operations are summed per side.
+Failed and attempted operations are summed per side, and `src_lines` gives
+each side's line count of `src/cavcross/*.py`, as `wc -l` counts it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -101,13 +102,28 @@ def rounded(value, places: int = 5):
     return value
 
 
-def checkout(commit: str, into: Path) -> None:
-    archive = subprocess.run(
+def archive(commit: str) -> tarfile.TarFile:
+    data = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", commit],
         check=True, stdout=subprocess.PIPE,
     ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+    return tarfile.open(fileobj=io.BytesIO(data))
+
+
+def checkout(commit: str, into: Path) -> None:
+    with archive(commit) as tar:
         tar.extractall(into, filter="data")
+
+
+def src_lines(commit: str) -> int:
+    """The newlines in `src/cavcross/*.py` of `commit`: `wc -l`'s total."""
+    with archive(commit) as tar:
+        return sum(
+            tar.extractfile(member).read().count(b"\n")
+            for member in tar.getmembers()
+            if member.isfile() and member.name.endswith(".py")
+            and PurePosixPath(member.name).parent == PurePosixPath("src/cavcross")
+        )
 
 
 def run_once(commit: str, workload: str, seed: int, seconds: float, workdir: Path) -> dict:
@@ -174,6 +190,7 @@ def main() -> int:
         "pairs_order": "first, third, ... seed: parent first; the others: change first; "
         "per seed, workloads in the order " + ", ".join(args.workloads),
         "seeds": args.seeds,
+        "src_lines": {side: src_lines(commit) for side, commit in commits.items()},
         "workloads": {},
     }
     for workload, sides in results.items():
