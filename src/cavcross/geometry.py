@@ -54,8 +54,9 @@ class Movement:
     exit: Cardinal
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "origin", Cardinal(self.origin))
-        object.__setattr__(self, "exit", Cardinal(self.exit))
+        if not type(self.origin) is type(self.exit) is Cardinal:
+            object.__setattr__(self, "origin", Cardinal(self.origin))
+            object.__setattr__(self, "exit", Cardinal(self.exit))
         if self.origin == self.exit:
             raise ValueError(
                 f"invalid movement {self.origin.value}->{self.exit.value}: "

@@ -239,8 +239,8 @@ HAND_BUILT = {
     "tailgating": [("lead", WE, 10.0, 0.0, 27.5), ("tail", WE, 10.0, 0.5, 28.0)],
     # Conflicting movements through the zone together.
     "lateral": [("we", WE, 10.0, 0.0, 27.5), ("ns", NS, 10.0, 0.2, 27.7)],
-    # Two vehicles abreast on one lane lead each other (equal positions
-    # count), and a third follows them.
+    # Two vehicles abreast on one lane, the later-registered following the
+    # earlier, and a third following both.
     "abreast": [
         ("left", WE, 10.0, 0.0, 27.5),
         ("right", WE, 10.0, 0.0, 27.5),
@@ -561,7 +561,6 @@ class TestLogAgreesWithReport:
             if len(margins):
                 assert report.min_rear_margin[vid] is not None, vid
                 assert margins.min() >= report.min_rear_margin[vid] - 1e-9, vid
-        return samples
 
     @settings(max_examples=25)
     @given(
