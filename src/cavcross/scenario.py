@@ -3,11 +3,11 @@
 A scenario is a YAML mapping with four sections.  Unknown and non-string
 keys anywhere are rejected, and so are numbers out of a float's range.
 Units are part of every field name.  Files are read as bytes and decoded by
-the YAML reader; both directions go through libyaml where PyYAML has it,
-and a saved file has the bytes of PyYAML's pure-Python `safe_dump`.  A file
-of one document of untagged maps, lists and plain scalars is built straight
-from the parser's events; PyYAML's safe composer and constructor build
-every other file, and give every error text.
+the YAML reader.  Both directions go through libyaml where PyYAML has it,
+and through its event stream: a saved file is emitted from events, and a
+file of one document of untagged maps, lists and plain scalars is built
+straight from them; PyYAML's safe composer and constructor build every
+other file, and give every error text.
 
 layout:
   control_zone_length_m: float   # approach length up to the merging zone
@@ -44,9 +44,11 @@ arrivals:                        # list, times non-decreasing, ids unique
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 import random
+from itertools import chain
 from pathlib import Path
 from typing import Any, Optional
 
@@ -392,14 +394,52 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return doc
 
 
+def _write_document(doc: Any, dumper_class: type) -> str:
+    """`yaml.dump(doc, Dumper=dumper_class, sort_keys=False)` of a tree with no dict or list
+    in it twice, emitted as events: the dumper words each scalar and resolves its flags."""
+    stream = io.StringIO()
+    dumper = dumper_class(stream)
+    try:
+        emit, represent, resolve = dumper.emit, dumper.represent_data, dumper.resolve
+        strings: dict[str, ScalarEvent] = {}  # str keys only: 0.0 == -0.0, 1 == True
+        emit(yaml.StreamStartEvent())
+        emit(DocumentStartEvent())
+        stack = [(iter((doc,)), DocumentEndEvent())]
+        while stack:
+            for item in stack[-1][0]:
+                if type(item) is dict:
+                    emit(MappingStartEvent(None, None, True, flow_style=False))
+                    stack.append((chain.from_iterable(item.items()), MappingEndEvent()))
+                    break
+                if type(item) is list:
+                    emit(yaml.SequenceStartEvent(None, None, True, flow_style=False))
+                    stack.append((iter(item), SequenceEndEvent()))
+                    break
+                event = strings.get(item)
+                if event is None:
+                    node = represent(item)
+                    plain = resolve(ScalarNode, node.value, (True, False))
+                    quoted = resolve(ScalarNode, node.value, (False, True))
+                    implicit = (node.tag == plain, node.tag == quoted)
+                    event = ScalarEvent(None, node.tag, implicit, node.value, style=node.style)
+                    if type(item) is str:
+                        strings[item] = event
+                emit(event)
+            else:
+                emit(stack.pop()[1])
+        emit(StreamEndEvent())
+    finally:
+        dumper.dispose()
+    return stream.getvalue()
+
+
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    # An id outside printable ASCII is written double-quoted with escapes,
-    # which libyaml folds at other columns than PyYAML's own emitter does.
+    """Write the bytes of `yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False)`,
+    built from events before the file is opened.  Ids outside printable ASCII go through
+    PyYAML's own emitter: libyaml folds their escapes at other columns."""
     plain = all(a.vehicle_id.isascii() and a.vehicle_id.isprintable() for a in scenario.arrivals)
     dumper = _DUMPER if plain else yaml.SafeDumper
-    # The text is built before the file is opened: a failed dump leaves it as it was.
-    text = yaml.dump(scenario_to_dict(scenario), Dumper=dumper, sort_keys=False)
-    Path(path).write_text(text)
+    Path(path).write_text(_write_document(scenario_to_dict(scenario), dumper))
 
 
 def generate_random_scenario(

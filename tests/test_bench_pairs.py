@@ -85,6 +85,26 @@ def test_wide_parent_spread_is_unresolved_unless_every_run_is_better():
 def test_seed_ranges():
     assert bench_pairs.parse_seeds("51-55") == [51, 52, 53, 54, 55]
     assert bench_pairs.parse_seeds("1,4-5,9") == [1, 4, 5, 9]
+    assert bench_pairs.parse_seeds("7-7") == [7]
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ("5-3", "descending range of seeds: '5-3'"),
+        ("1,1", "seeds given twice: [1]"),
+        ("1-3,2-4", "seeds given twice: [2, 3]"),
+        ("", "not a seed or a range of seeds: ''"),
+        ("1,,2", "not a seed or a range of seeds: ''"),
+        ("-3", "not a seed or a range of seeds: '-3'"),
+        ("a-b", "not a seed or a range of seeds: 'a-b'"),
+    ],
+)
+def test_bad_seeds_are_a_usage_error(seeds, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.parse_args(["A", "B", "--seeds", seeds])
+    assert exit_info.value.code == 2
+    assert f"argument --seeds: {message}" in capsys.readouterr().err
 
 
 def test_unpaired_runs_rejected():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -325,6 +326,30 @@ class TestWriter:
         save_scenario(scenario, tmp_path / "dense.yaml")
         assert load_scenario(tmp_path / "dense.yaml") == scenario
 
+    def test_signed_zero_keeps_its_sign(self, emitter, tmp_path, reference_path):
+        # `lateral_buffer_s: -0.0` comes before the first arrival's `time_s: 0.0`,
+        # and -0.0 == 0.0: a writer that reused float scalars by value would
+        # write `time_s: -0.0`, which loads back to an equal scenario.
+        scenario = dataclasses.replace(load_scenario(reference_path), lateral_buffer=-0.0)
+        path = tmp_path / "signed.yaml"
+        save_scenario(scenario, path)
+        expected = yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False).encode()
+        assert path.read_bytes() == expected
+        assert expected.count(b"-0.0") == 1 and b"time_s: 0.0\n" in expected
+
+    def test_pyyaml_representer_unused(self, emitter, tmp_path, monkeypatch):
+        scenario = generate_random_scenario(seed=7, n_vehicles=300, mean_gap=3.0)
+        expected = yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False).encode()
+
+        def refuse(self, data):
+            raise AssertionError("PyYAML's representer built a node graph")
+
+        monkeypatch.setattr(yaml.representer.BaseRepresenter, "represent", refuse)
+        with pytest.raises(AssertionError, match="node graph"):
+            yaml.safe_dump({"a": 1})
+        save_scenario(scenario, tmp_path / "dense.yaml")
+        assert (tmp_path / "dense.yaml").read_bytes() == expected
+
     def test_module_without_libyaml(self, tmp_path, reference_path):
         # A fresh interpreter whose PyYAML lacks the libyaml classes.
         program = textwrap.dedent(
@@ -460,6 +485,33 @@ class TestEventReader:
         text = MINIMAL.replace("layout:", "layout: &layout", 1) + "sim: {<<: {dt_s: 0.02}}\n"
         (tmp_path / "anchors.yaml").write_text(text)
         assert load_scenario(tmp_path / "anchors.yaml") == parse_text(text)
+
+
+# Plain trees with the scalars PyYAML words specially: lookalike strings,
+# infinities, NaN, signed zeros and integers far past 64 bits.
+_TREES = st.recursive(
+    _SCALARS | st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 10**400, -(2**64)]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+class TestEventWriter:
+    """`_write_document` emits what `yaml.dump` emits through the same dumper."""
+
+    @pytest.fixture(params=["libyaml", "pure"])
+    def dumper(self, request):
+        if request.param == "libyaml":
+            if not yaml.__with_libyaml__:
+                pytest.skip("PyYAML was built without libyaml")
+            return yaml.CSafeDumper
+        return yaml.SafeDumper
+
+    @given(doc=_TREES)
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_dumps(self, dumper, doc):
+        expected = yaml.dump(doc, Dumper=dumper, sort_keys=False)
+        assert scenario_module._write_document(doc, dumper) == expected
 
 
 class TestGenerator:

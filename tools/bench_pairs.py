@@ -44,11 +44,21 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(text: str) -> list[int]:
-    """`51-60` or `1,4,9` (or a mix) as a list of seeds."""
+    """`51-60` or `1,4,9` (or a mix) as a list of seeds.  A range must not
+    descend, and no seed may come twice: each seed is one pair."""
     seeds: list[int] = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        try:
+            first, last = int(lo), int(hi or lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a seed or a range of seeds: {part!r}") from None
+        if last < first:
+            raise argparse.ArgumentTypeError(f"descending range of seeds: {part!r}")
+        seeds.extend(range(first, last + 1))
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"seeds given twice: {repeated}")
     return seeds
 
 
