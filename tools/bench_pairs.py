@@ -38,6 +38,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path, PurePosixPath
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,7 +57,7 @@ def parse_seeds(text: str) -> list[int]:
         if last < first:
             raise argparse.ArgumentTypeError(f"descending range of seeds: {part!r}")
         seeds.extend(range(first, last + 1))
-    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    repeated = sorted(seed for seed, count in Counter(seeds).items() if count > 1)
     if repeated:
         raise argparse.ArgumentTypeError(f"seeds given twice: {repeated}")
     return seeds
