@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
+from ._floatfmt import reprs
 from .scenario import ScenarioError, load_scenario
 from .simulation import (
     Policy,
@@ -61,9 +62,9 @@ _PLOT_COLUMNS = ("position", "speed", "accel", "rear_margin")
 
 class _Chunk:
     """Rows [start, stop) of a run's log, which begin and end at a change of
-    sample time, with each sampled value formatted once with `repr`."""
+    sample time, with each sampled value formatted once, as `repr` would."""
 
-    def __init__(self, log: Samples, start: int, stop: int, labels: list[str]):
+    def __init__(self, log: Samples, start: int, stop: int, labels: list[bytes]):
         t = log.t[start:stop]
         self.vehicle = log.vehicle[start:stop]
         self.n_vehicles = len(log.vehicle_ids)
@@ -72,24 +73,20 @@ class _Chunk:
         new_time = np.ones(len(t), dtype=bool)
         new_time[1:] = t[1:] != t[:-1]
         self.first_rows = np.flatnonzero(new_time)
-        # Python floats: under numpy 2 the repr of an np.float64 names the type.
+        times = t[self.first_rows]
+        cells = reprs(np.concatenate([times, *(getattr(log, c)[start:stop] for c in _PLOT_COLUMNS)]))
         # Each distinct sample time, ascending, after a line break; per row
         # the index of its time here.
-        self.starts = ["\n" + text for text in map(repr, t[new_time].tolist())]
+        self.starts = [b"\n" + text for text in cells[: len(times)]]
         self.time_index = np.cumsum(new_time) - 1
-        # Per row; "" where there is no value.
+        # Per column, per row; b"" where there is no value.
+        n = len(t)
         self.columns = {
-            name: list(map(repr, getattr(log, name)[start:stop].tolist()))
-            for name in ("position", "speed", "accel")
+            c: cells[len(times) + k * n : len(times) + (k + 1) * n] for k, c in enumerate(_PLOT_COLUMNS)
         }
-        margin = log.rear_margin[start:stop]
-        known = ~np.isnan(margin)
-        cells = np.full(len(margin), "", dtype=object)
-        cells[known] = list(map(repr, margin[known].tolist()))
-        self.columns["rear_margin"] = cells.tolist()
 
     @functools.cached_property
-    def pivot_separators(self) -> tuple[list[str], str]:
+    def pivot_separators(self) -> tuple[list[bytes], bytes]:
         """The pivot text before each row's cell, and after the chunk's last.
 
         The rows of one time are in registration order.  Before a cell come
@@ -101,17 +98,17 @@ class _Chunk:
         previous = np.empty_like(vehicle)
         previous[1:] = vehicle[:-1]
         previous[self.first_rows] = -1
-        separators = ["," * k for k in (vehicle - previous).tolist()]
+        separators = [b"," * k for k in (vehicle - previous).tolist()]
         last_rows = np.append(self.first_rows[1:] - 1, len(vehicle) - 1)
-        tails = ["," * k for k in (self.n_vehicles - 1 - vehicle[last_rows]).tolist()]
-        for row, start, tail in zip(self.first_rows.tolist(), self.starts, ["", *tails]):
+        tails = [b"," * k for k in (self.n_vehicles - 1 - vehicle[last_rows]).tolist()]
+        for row, start, tail in zip(self.first_rows.tolist(), self.starts, [b"", *tails]):
             separators[row] = tail + start + separators[row]
         return separators, tails[-1]
 
 
 def _chunks(log: Samples) -> Iterator[_Chunk]:
     """The log in consecutive chunks of about `_CHUNK_ROWS` rows."""
-    labels = [_csv_row(["", vid, lane, ""]) for vid, lane in zip(log.vehicle_ids, log.lanes)]
+    labels = [_csv_row(["", vid, lane, ""]).encode() for vid, lane in zip(log.vehicle_ids, log.lanes)]
     start = 0
     while start < len(log):
         # Through the last row of the time of the chunk's last row: rows are
@@ -120,6 +117,12 @@ def _chunks(log: Samples) -> Iterator[_Chunk]:
         stop = int(np.searchsorted(log.t, log.t[last], side="right"))
         yield _Chunk(log, start, stop, labels)
         start = stop
+
+
+def _join(parts: list[bytes]) -> str:
+    """The parts joined and decoded.  `bytes.join` holds an 80-byte buffer
+    record per part while it runs, so it sees at most 1,024 parts at once."""
+    return b"".join([b"".join(parts[i : i + 1024]) for i in range(0, len(parts), 1024)]).decode()
 
 
 def _csv_row(fields: list) -> str:
@@ -141,12 +144,12 @@ def trajectory_csv(result: RunResult, chunk: Optional[_Chunk] = None) -> str:
         return "".join([_csv_row(TRAJECTORY_CSV_HEADER), *lines, "\n"])
     # Every field and separator is one list item, joined once, so no string
     # per row is built: a row is "\n<t>" ",<id>,<lane>," p "," v "," a "," m.
-    parts = [","] * (9 * len(chunk.vehicle))
-    parts[0::9] = [chunk.starts[i] for i in chunk.time_index.tolist()]
-    parts[1::9] = [chunk.labels[v] for v in chunk.vehicle.tolist()]
+    parts = [b","] * (9 * len(chunk.vehicle))
+    parts[0::9] = map(chunk.starts.__getitem__, chunk.time_index.tolist())
+    parts[1::9] = map(chunk.labels.__getitem__, chunk.vehicle.tolist())
     for offset, column in enumerate(_PLOT_COLUMNS):
         parts[2 + 2 * offset :: 9] = chunk.columns[column]
-    return "".join(parts)
+    return _join(parts)
 
 
 def _wide_series_csv(result: RunResult, column: str, chunk: Optional[_Chunk] = None) -> str:
@@ -158,11 +161,11 @@ def _wide_series_csv(result: RunResult, column: str, chunk: Optional[_Chunk] = N
         lines = [_wide_series_csv(result, column, c) for c in _chunks(result.log)]
         return "".join([_pivot_header(result.log), *lines, "\n"])
     separators, tail = chunk.pivot_separators
-    parts = [""] * (2 * len(separators))
+    parts = [b""] * (2 * len(separators))
     parts[0::2] = separators
     parts[1::2] = chunk.columns[column]
     parts.append(tail)
-    return "".join(parts)
+    return _join(parts)
 
 
 def metrics_json(result: RunResult) -> str:
@@ -199,7 +202,7 @@ def _staged(paths: list[Path]) -> Iterator[list[TextIO]]:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
             tmps.append(tmp)
-            handles.append(os.fdopen(fd, "w", newline=""))
+            handles.append(os.fdopen(fd, "w", encoding="utf-8", newline=""))
         yield handles
         for handle in handles:
             handle.close()
@@ -233,6 +236,8 @@ def write_outputs(result: RunResult, out_dir: Path) -> None:
             trajectory.write(trajectory_csv(result, chunk))
             for plot, column in zip(plots, _PLOT_COLUMNS):
                 plot.write(_wide_series_csv(result, column, chunk))
+            # Drop this chunk's cells before the next chunk formats its own.
+            del chunk
         for handle in (trajectory, *plots):
             handle.write("\n")
 

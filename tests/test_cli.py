@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
 import textwrap
 import time
 import tracemalloc
@@ -32,6 +35,7 @@ from cavcross.cli import (
     trajectory_csv,
     write_outputs,
 )
+from conftest import REPO_ROOT
 
 
 MINIMAL = textwrap.dedent(
@@ -449,7 +453,8 @@ class TestStreamingWriter:
         assert trajectory_csv(result) == written["trajectory.csv"].decode()
 
     def test_memory_stays_bounded(self, tmp_path):
-        # 73,469 rows; the whole-run writer peaked at 37.3 MiB here.
+        # 73,469 rows; the whole-run writer peaked at 37.3 MiB here, the
+        # streaming writer with one `repr` per value at 0.76 MiB.
         result = run(generate_random_scenario(seed=1, n_vehicles=40, mean_gap=2.0))
         tracemalloc.start()
         try:
@@ -457,7 +462,19 @@ class TestStreamingWriter:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2**20
+
+    def test_artifacts_are_utf8_under_any_locale(self, tmp_path):
+        path = tmp_path / "accented.yaml"
+        path.write_text(MINIMAL.replace("id: a,", 'id: "v\\u00e9h",'), encoding="ascii")
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "LC_ALL": "C",
+               "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        command = [sys.executable, "-m", "cavcross.cli", "run", str(path), "--out", str(tmp_path / "out")]
+        done = subprocess.run(command, env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_OK, done.stderr
+        written = _artifacts(tmp_path / "out")
+        assert "\n0.0,véh,".encode() in written["trajectory.csv"]
+        assert written["plots/position.csv"].startswith("t,véh\n0.0,0.0\n".encode())
 
     @pytest.mark.parametrize("formatter", ["trajectory_csv", "_wide_series_csv"])
     def test_failure_leaves_previous_artifacts(
