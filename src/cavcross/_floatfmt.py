@@ -77,19 +77,21 @@ def reprs(values: np.ndarray) -> list[bytes]:
 def _reprs(x: np.ndarray) -> list[bytes]:
     a = np.abs(x)
     inside = (a >= 1e-3) & (a < 1e15)
-    a = np.where(inside, a, 1.5)
+    a = np.where(inside, a, 1.5)  # keeps every table lookup in range
     e = (a.view(np.int64) >> 52) - 1013
     n, tie = _shortest(a, e)
     inside &= ~tie
     # The text starts at the sign or at the integer part's first digit.
     neg = np.signbit(x)
     lead = 15 - np.maximum(_tables().digits17[e] + (n >= _U(10**18)), 0) - neg
+    # A row is 40 bytes: the integer part's 16 digits, the point and the
+    # fraction's 19 digits, then NUL bytes, which `tolist` drops.
     rows = np.empty((len(x), 10), dtype=np.uint32)
     np.take(_tables().quads, _groups(a, e, n).view(np.int64), out=rows.T[::-1])
     neg = np.flatnonzero(neg)
     rows.view(np.uint8)[neg, lead[neg]] = ord("-")
     nan = np.isnan(x)
-    lead[nan] = 40
+    lead[nan] = 40  # an empty cell
     out = np.strings.slice(rows.view("S40")[:, 0], lead, 40).tolist()
     for i in np.flatnonzero(~(inside | nan)).tolist():
         out[i] = repr(float(x[i])).encode()
